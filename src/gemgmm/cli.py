@@ -97,19 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_OVERRIDE_FIELDS = {
-    "seed": "seed",
-    "out": "out",
-    "dataset": "dataset",
-    "beta": "beta",
-    "tol": "tol",
-    "max_iters": "max_iters",
-    "plot": "plot",
-    "inset": "inset",
-    "instances": "instances",
-    "trace": "trace",
-    "params_file": "params_file",
-}
+# Flags whose value overrides the config field of the same name.
+_OVERRIDE_FIELDS = ("seed", "out", "dataset", "beta", "tol", "max_iters", "plot",
+                    "inset", "instances", "trace", "params_file")
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -118,10 +108,10 @@ def _build_config(args) -> ExperimentConfig:
         mapping = load_json(args.config)
         if not isinstance(mapping, dict):
             raise ValidationError(f"config {args.config} must hold a JSON object")
-    for attr, key in _OVERRIDE_FIELDS.items():
-        value = getattr(args, attr, None)
+    for field in _OVERRIDE_FIELDS:
+        value = getattr(args, field, None)
         if value is not None:
-            mapping[key] = value
+            mapping[field] = value
     algo = getattr(args, "algo", None)
     if algo is not None:
         mapping["algorithm"] = algo.replace("-", "_")

@@ -209,25 +209,42 @@ def as_dataset(data: np.ndarray, n_features: int | None = None) -> np.ndarray:
 
 
 def _log_weighted_densities(params: GmmParams, x: np.ndarray) -> np.ndarray:
-    """(N, K) matrix of log(w_j * N(x | mean_j, cov_j))."""
+    """(K, N) matrix of log(w_j * N(x | mean_j, cov_j)), one row per component.
+
+    ``x`` must already be validated.  The triangular solve with each
+    Cholesky factor is a product with its inverse, factored once per
+    call; the loop over components keeps temporaries at N x m.
+    """
     k, m = params.n_components, params.n_features
-    out = np.empty((x.shape[0], k))
+    inv_chol = np.linalg.inv(params._chol)
+    out = np.empty((k, x.shape[0]))
     for j in range(k):
-        chol = params._chol[j]
-        diff = x - params.means[j]
-        y = np.linalg.solve(chol, diff.T)
+        y = inv_chol[j] @ (x - params.means[j]).T
         maha = np.einsum("ij,ij->j", y, y)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, j] = np.log(params.weights[j]) - 0.5 * (m * _LOG_2PI + logdet + maha)
+        logdet = 2.0 * np.sum(np.log(np.diag(params._chol[j])))
+        out[j] = np.log(params.weights[j]) - 0.5 * (m * _LOG_2PI + logdet + maha)
     return out
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    amax = np.max(a, axis=1, keepdims=True)
+def _estep(params: GmmParams, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """One log-density pass: the log-likelihood and the (N, K)
+    responsibilities at ``params`` for validated data ``x``.
+
+    The log-sum-exp and the normalization reduce over the component axis
+    of the (K, N) log-densities, i.e. over contiguous rows.
+    """
+    lw = _log_weighted_densities(params, x)
+    amax = lw.max(axis=0)
     shift = np.where(np.isfinite(amax), amax, 0.0)
+    dens = np.exp(lw - shift)
+    total = dens.sum(axis=0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - shift), axis=1, keepdims=True)) + shift
-    return out[:, 0]
+        lse = np.log(total) + shift
+    if not np.all(np.isfinite(lse)):
+        bad = int(np.flatnonzero(~np.isfinite(lse))[0])
+        raise NumericUnderflowError(f"mixture density underflowed at sample {bad}")
+    dens /= total
+    return float(lse.sum()), dens.T
 
 
 def component_density(params: GmmParams, j: int, x: np.ndarray) -> float:
@@ -237,30 +254,17 @@ def component_density(params: GmmParams, j: int, x: np.ndarray) -> float:
     if not 0 <= j < params.n_components:
         raise ValidationError(f"component index {j} out of range for K={params.n_components}")
     x = as_dataset(np.asarray(x, dtype=float).reshape(1, -1), params.n_features)
-    return float(np.exp(_log_weighted_densities(params, x)[0, j]))
+    return float(np.exp(_log_weighted_densities(params, x)[j, 0]))
 
 
 def log_likelihood(params: GmmParams, data: np.ndarray) -> float:
     """Sum over samples of the log mixture density."""
-    x = as_dataset(data, params.n_features)
-    lse = _logsumexp_rows(_log_weighted_densities(params, x))
-    if not np.all(np.isfinite(lse)):
-        bad = int(np.flatnonzero(~np.isfinite(lse))[0])
-        raise NumericUnderflowError(f"mixture density underflowed at sample {bad}")
-    return float(lse.sum())
+    return _estep(params, as_dataset(data, params.n_features))[0]
 
 
 def responsibilities(params: GmmParams, data: np.ndarray) -> np.ndarray:
     """(N, K) posterior membership probabilities; rows sum to 1."""
-    x = as_dataset(data, params.n_features)
-    lw = _log_weighted_densities(params, x)
-    lse = _logsumexp_rows(lw)
-    if not np.all(np.isfinite(lse)):
-        bad = int(np.flatnonzero(~np.isfinite(lse))[0])
-        raise NumericUnderflowError(f"all components underflowed at sample {bad}")
-    h = np.exp(lw - lse[:, None])
-    h /= h.sum(axis=1, keepdims=True)
-    return h
+    return _estep(params, as_dataset(data, params.n_features))[1]
 
 
 def q_function(params: GmmParams, params_prev: GmmParams, data: np.ndarray) -> float:
@@ -271,8 +275,8 @@ def q_function(params: GmmParams, params_prev: GmmParams, data: np.ndarray) -> f
     value (a generalized M-step) cannot decrease the log-likelihood.
     """
     x = as_dataset(data, params.n_features)
-    h = responsibilities(params_prev, x)
-    lw = _log_weighted_densities(params, x)
+    h = _estep(params_prev, x)[1]
+    lw = _log_weighted_densities(params, x).T
     with np.errstate(invalid="ignore"):
         terms = np.where(h > 0.0, h * lw, 0.0)
     total = float(terms.sum())

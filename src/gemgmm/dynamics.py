@@ -1,17 +1,30 @@
-"""Preconditioned projected update steps and the iteration driver.
+"""Projected generalized EM steps and the iteration driver.
 
-The block preconditioner P maps the raw gradient to the exact
-shifted-covariance EM increment:
+The paper's GEM step is the shifted-covariance EM increment.  Production
+steps compute it in structured form from one set of responsibilities:
 
-    flatten(shifted_em_step(p)) - flatten(p) = P(p) . grad(p)
+    d_w = counts / N - w   (centered, so the weights keep their sum),
+    d_mean_j = beta_j * (new mean_j - mean_j),
+    cov_j+ = responsibility-weighted second moment about mean_j,
+             symmetrized,
 
-Composing with the zero-sum projection on the weight block keeps every
-iterate on the constraint set, giving the projected step
+with ``beta_j = 1`` for :func:`pb_gem_step` and the design's factors for
+:func:`w_pb_gem_step`.  :func:`run` makes one log-density pass per
+iteration: the pass that scores the new iterate also yields the
+responsibilities that the next step consumes.
+
+The same step written as a projected preconditioned gradient step,
 
     vec+ = vec + proj(P(vec) . grad(vec)),
 
-optionally with per-component scaling of the mean increments in between
-(the weighted variant).
+where the block preconditioner P maps the raw gradient to the exact
+shifted-covariance EM increment,
+
+    flatten(shifted_em_step(p)) - flatten(p) = P(p) . grad(p),
+
+is kept as :class:`Preconditioner`, :func:`build_preconditioner` and
+:func:`apply_projection`.  These are identities checked by the tests and
+used by analysis code; they are not on the iteration path.
 """
 
 from __future__ import annotations
@@ -22,8 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GmmParams, VectorLayout, as_dataset, log_likelihood, responsibilities
-from .engine import grad_log_likelihood, em_step, shifted_em_step, soft_counts
+from .core import GmmParams, VectorLayout, _estep, as_dataset
+from .engine import _m_step, em_step, shifted_em_step, soft_counts
 from .errors import (
     DegenerateComponentError,
     InvalidCovarianceError,
@@ -56,10 +69,14 @@ class Preconditioner:
     """
 
     p_weights: np.ndarray
-    p_means: np.ndarray
     covs: np.ndarray
     counts: np.ndarray
     layout: VectorLayout
+
+    @property
+    def p_means(self) -> np.ndarray:
+        """(K, m, m) mean blocks ``C_j / S_j``."""
+        return self.covs / self.counts[:, None, None]
 
     def p_cov(self, j: int) -> np.ndarray:
         """Dense m^2 x m^2 covariance block for component ``j``."""
@@ -94,13 +111,12 @@ def build_preconditioner(params: GmmParams, data: np.ndarray,
     """Evaluate the preconditioner blocks at ``params``."""
     x = as_dataset(data, params.n_features)
     if resp is None:
-        resp = responsibilities(params, x)
+        resp = _estep(params, x)[1]
     counts = soft_counts(resp)
     n = x.shape[0]
     w = params.weights
     p_weights = (np.diag(w) - np.outer(w, w)) / n
-    p_means = params.covs / counts[:, None, None]
-    return Preconditioner(p_weights, p_means, params.covs, counts, params.layout)
+    return Preconditioner(p_weights, params.covs, counts, params.layout)
 
 
 @dataclass(frozen=True)
@@ -164,43 +180,47 @@ class MeanStepWeights:
         return d
 
 
-def _gem_step(params: GmmParams, x: np.ndarray, betas: np.ndarray | None) -> GmmParams:
-    resp = responsibilities(params, x)
-    grad = grad_log_likelihood(params, x, resp=resp)
-    pre = build_preconditioner(params, x, resp=resp)
-    step = pre.apply(grad)
+def _gem_step(params: GmmParams, x: np.ndarray, resp: np.ndarray | None,
+              betas: np.ndarray | None) -> GmmParams:
+    if resp is None:
+        resp = _estep(params, x)[1]
+    weights, means, covs = _m_step(params, x, resp, shifted=True)
+    d_w = weights - params.weights
+    d_w -= d_w.mean()
+    d_mu = means - params.means
     if betas is not None:
-        for j in range(params.n_components):
-            step[params.layout.mean_slice(j)] *= betas[j]
-    step = apply_projection(step, params.layout)
-    vec = params.to_vector() + step
-    # Rebuild with full validation: weight positivity and covariance
-    # definiteness are checked, not repaired.
-    return GmmParams.from_vector(vec, params.n_components, params.n_features, symmetrize=True)
+        d_mu *= betas[:, None]
+    # Full validation: weight positivity and covariance definiteness are
+    # checked, not repaired.
+    return GmmParams(params.weights + d_w, params.means + d_mu, covs)
 
 
-def pb_gem_step(params: GmmParams, data: np.ndarray) -> GmmParams:
+def pb_gem_step(params: GmmParams, data: np.ndarray,
+                resp: np.ndarray | None = None) -> GmmParams:
     """One projected preconditioned gradient-ascent step.
 
     Coincides with :func:`engine.shifted_em_step` up to roundoff: the
     preconditioned gradient already equals the EM increment, whose weight
-    block is zero-sum, so the projection only removes roundoff drift.
+    block is zero-sum, so the projection (centering the weight increment)
+    only removes roundoff drift.  ``resp`` may carry precomputed
+    responsibilities at ``params``, as in :func:`engine.em_step`.
     """
     x = as_dataset(data, params.n_features)
-    return _gem_step(params, x, betas=None)
+    return _gem_step(params, x, resp, betas=None)
 
 
-def w_pb_gem_step(params: GmmParams, data: np.ndarray, design: MeanStepWeights) -> GmmParams:
+def w_pb_gem_step(params: GmmParams, data: np.ndarray, design: MeanStepWeights,
+                  resp: np.ndarray | None = None) -> GmmParams:
     """Weighted variant: mean increments scale by ``design.betas``.
 
     With all betas equal to 1 this reproduces :func:`pb_gem_step`
-    bit-exactly.
+    bit-exactly.  ``resp`` works as in :func:`pb_gem_step`.
     """
     x = as_dataset(data, params.n_features)
     if design.betas.size != params.n_components:
         raise ValidationError(
             f"need one beta per component ({params.n_components}), got {design.betas.size}")
-    return _gem_step(params, x, betas=design.betas)
+    return _gem_step(params, x, resp, betas=design.betas)
 
 
 @dataclass(frozen=True)
@@ -269,7 +289,7 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
     elif algorithm == "pb_gem":
         step_fn = pb_gem_step
     else:
-        step_fn = lambda p, d: w_pb_gem_step(p, d, design)
+        step_fn = lambda p, d, resp: w_pb_gem_step(p, d, design, resp=resp)
 
     stride = snapshot_stride
     if stride is None:
@@ -278,14 +298,16 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
     t0 = time.perf_counter()
     cur = params
     cur_vec = params.to_vector()
-    loglik = log_likelihood(cur, x)
+    # One log-density pass per iterate: it scores the iterate and gives
+    # the responsibilities that the next step starts from.
+    loglik, resp = _estep(cur, x)
     a_res, s_res = _residuals(cur)
     records = [TraceRecord(0, loglik, 0.0, a_res, s_res, cur_vec.copy())]
     reason = "max_iters"
     for k in range(1, max_iters + 1):
         try:
-            new = step_fn(cur, x)
-            new_loglik = log_likelihood(new, x)
+            new = step_fn(cur, x, resp=resp)
+            new_loglik, resp = _estep(new, x)
         except (SimplexViolationError, InvalidCovarianceError,
                 DegenerateComponentError, NumericUnderflowError) as err:
             partial = RunTrace(records, "error", cur, algorithm, time.perf_counter() - t0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GmmParams, as_dataset, responsibilities
+from .core import GmmParams, _estep, as_dataset
 from .errors import DegenerateComponentError, ValidationError
 
 # A component whose responsibility mass falls below this fraction of N is
@@ -31,7 +31,9 @@ def soft_counts(resp: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _m_step(params: GmmParams, x: np.ndarray, resp: np.ndarray, shifted: bool) -> GmmParams:
+def _m_step(params: GmmParams, x: np.ndarray, resp: np.ndarray,
+            shifted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form (weights, means, covs) of the EM update, unvalidated."""
     n = x.shape[0]
     counts = soft_counts(resp)
     weights = counts / n
@@ -42,7 +44,7 @@ def _m_step(params: GmmParams, x: np.ndarray, resp: np.ndarray, shifted: bool) -
         d = x - centers[j]
         c = (resp[:, j, None] * d).T @ d / counts[j]
         covs[j] = 0.5 * (c + c.T)
-    return GmmParams(weights, means, covs)
+    return weights, means, covs
 
 
 def em_step(params: GmmParams, data: np.ndarray, resp: np.ndarray | None = None) -> GmmParams:
@@ -53,8 +55,8 @@ def em_step(params: GmmParams, data: np.ndarray, resp: np.ndarray | None = None)
     """
     x = as_dataset(data, params.n_features)
     if resp is None:
-        resp = responsibilities(params, x)
-    return _m_step(params, x, resp, shifted=False)
+        resp = _estep(params, x)[1]
+    return GmmParams(*_m_step(params, x, resp, shifted=False))
 
 
 def shifted_em_step(params: GmmParams, data: np.ndarray, resp: np.ndarray | None = None) -> GmmParams:
@@ -62,11 +64,12 @@ def shifted_em_step(params: GmmParams, data: np.ndarray, resp: np.ndarray | None
 
     Weights and means update as in :func:`em_step`; each covariance is
     the responsibility-weighted second moment about the *current* mean.
+    ``resp`` works as in :func:`em_step`.
     """
     x = as_dataset(data, params.n_features)
     if resp is None:
-        resp = responsibilities(params, x)
-    return _m_step(params, x, resp, shifted=True)
+        resp = _estep(params, x)[1]
+    return GmmParams(*_m_step(params, x, resp, shifted=True))
 
 
 def grad_log_likelihood(params: GmmParams, data: np.ndarray,
@@ -83,7 +86,7 @@ def grad_log_likelihood(params: GmmParams, data: np.ndarray,
     """
     x = as_dataset(data, params.n_features)
     if resp is None:
-        resp = responsibilities(params, x)
+        resp = _estep(params, x)[1]
     k, m = params.n_components, params.n_features
     counts = resp.sum(axis=0)
     g_w = counts / params.weights

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gemgmm
 from gemgmm import GmmParams, ValidationError
 from gemgmm.cli import main
 from gemgmm.experiments import ExperimentConfig, orthogonal_line_init
@@ -408,8 +411,12 @@ def test_config_must_be_object(tmp_path):
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path / "c.json", true_model=TRUE_MODEL,
                        n_samples=20, seed=1, out=str(tmp_path / "out"))
+    # the child imports the same gemgmm as this process, installed or not
+    package_root = str(Path(gemgmm.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
     proc = subprocess.run([sys.executable, "-m", "gemgmm", "generate",
                            "--config", cfg],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "dataset.csv" in proc.stdout

@@ -16,7 +16,7 @@ from gemgmm import (
     responsibilities,
     sample,
 )
-from gemgmm.core import as_dataset
+from gemgmm.core import _estep, as_dataset
 from gemgmm.engine import em_step
 
 from conftest import (
@@ -234,6 +234,56 @@ def test_log_likelihood_survives_distant_points():
     p = GmmParams([1.0], [[0.0]], [np.eye(1)])
     ll = log_likelihood(p, [[60.0]])
     assert ll == pytest.approx(-0.5 * 60.0**2 - 0.5 * math.log(2.0 * math.pi), rel=1e-12)
+
+
+def test_log_likelihood_accurate_for_ill_conditioned_covariance():
+    # condition number 1e8, eigenvectors off the axes; points from the
+    # mean out to 30 standard deviations along either axis.  Backward-
+    # stable evaluations of the quadratic form differ by about
+    # cond(C) * eps relative, so the oracle (inv/det) is matched to
+    # 10 * 1e8 * eps; against a triangular-solve evaluation the Cholesky
+    # inverse may lose only cond(L) = 1e4 times eps, so 10 * 1e4 * eps.
+    eps = np.finfo(float).eps
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    lam = np.array([1.0, 1e-8])
+    cov = rot @ np.diag(lam) @ rot.T
+    cov = 0.5 * (cov + cov.T)
+    assert np.linalg.cond(cov) == pytest.approx(1e8, rel=1e-3)
+    mean = np.array([0.3, -1.2])
+    p = GmmParams([1.0], [mean], [cov])
+    z = np.array([[0.0, 0.0], [0.5, -0.3], [-1.0, 1.0], [3.0, 0.0], [0.0, -3.0],
+                  [25.0, 0.0], [0.0, 25.0], [-20.0, 15.0], [10.0, -30.0]])
+    x = mean + (z * np.sqrt(lam)) @ rot.T
+    chol = np.linalg.cholesky(cov)
+    for row in x:
+        ll = log_likelihood(p, row[None])
+        ref = naive_loglik(p.weights, p.means, p.covs, row[None])
+        assert abs(ll - ref) <= 10 * 1e8 * eps * max(1.0, abs(ref))
+        y = np.linalg.solve(chol, row - mean)
+        solved = -0.5 * (2 * math.log(2 * math.pi)
+                         + 2 * np.sum(np.log(np.diag(chol))) + y @ y)
+        assert abs(ll - solved) <= 10 * 1e4 * eps * max(1.0, abs(solved))
+    total = naive_loglik(p.weights, p.means, p.covs, x)
+    assert log_likelihood(p, x) == pytest.approx(total, rel=10 * 1e8 * eps)
+
+
+# ------------------------------------------------------------------ E-pass
+
+@pytest.mark.parametrize("k, m, n", [(1, 1, 7), (2, 2, 40), (3, 3, 25)])
+def test_estep_returns_exactly_loglik_and_responsibilities(k, m, n):
+    rng = np.random.default_rng(300 + 10 * k + m)
+    p = make_params(rng, k, m)
+    x = make_dataset(rng, n, m)
+    ll, h = _estep(p, as_dataset(x))
+    assert ll == log_likelihood(p, x)
+    assert np.array_equal(h, responsibilities(p, x))
+    assert h.shape == (n, k)
+
+
+def test_estep_reports_underflow():
+    p = GmmParams([0.5, 0.5], [[0.0], [1.0]], [np.eye(1), np.eye(1)])
+    with pytest.raises(NumericUnderflowError):
+        _estep(p, as_dataset([[0.0], [1e300]]))
 
 
 # ---------------------------------------------------------- responsibilities

@@ -12,12 +12,15 @@ from gemgmm import (
     build_preconditioner,
     em_step,
     grad_log_likelihood,
+    log_likelihood,
     pb_gem_step,
     run,
     sample,
     shifted_em_step,
     w_pb_gem_step,
 )
+from gemgmm import core
+from gemgmm.dynamics import ALGORITHMS
 from gemgmm.errors import DegenerateComponentError
 
 from conftest import make_dataset, make_params
@@ -320,6 +323,50 @@ def test_run_argument_validation():
         run(TRUTH, data, "em", rel_ll_tol=0.0)
     with pytest.raises(ValidationError):
         run(TRUTH, data, "em", max_iters=0)
+
+
+START = GmmParams([0.4, 0.6], [[0.5, 0.2], [-0.5, 0.0]], [np.eye(2), 2.0 * np.eye(2)])
+W_DESIGN = MeanStepWeights([0.9, 0.7])
+HAND_STEPS = {
+    "em": em_step,
+    "shifted_em": shifted_em_step,
+    "pb_gem": pb_gem_step,
+    "w_pb_gem": lambda p, x: w_pb_gem_step(p, x, W_DESIGN),
+}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_is_bit_equal_to_hand_loop(algorithm):
+    # run carries each iterate's responsibilities into the next step; a
+    # step fed those of any other iterate would not reproduce this loop
+    data = sample(TRUTH, 200, 167)
+    design = W_DESIGN if algorithm == "w_pb_gem" else None
+    trace = run(START, data, algorithm, design=design, max_iters=5, rel_ll_tol=1e-300)
+    p = START
+    logliks = [log_likelihood(p, data)]
+    for _ in range(5):
+        p = HAND_STEPS[algorithm](p, data)
+        logliks.append(log_likelihood(p, data))
+    assert trace.reason == "max_iters"
+    assert trace.logliks.tolist() == logliks
+    assert np.array_equal(trace.final_params.to_vector(), p.to_vector())
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_makes_one_density_pass_per_iterate(monkeypatch, algorithm):
+    passes = []
+    original = core._log_weighted_densities
+
+    def counted(params, x):
+        passes.append(params)
+        return original(params, x)
+
+    monkeypatch.setattr(core, "_log_weighted_densities", counted)
+    data = sample(TRUTH, 200, 173)
+    design = W_DESIGN if algorithm == "w_pb_gem" else None
+    trace = run(TRUTH, data, algorithm, design=design, max_iters=400)
+    assert trace.reason == "tolerance"
+    assert len(passes) == trace.iterations + 1
 
 
 def test_run_wraps_step_failures_with_partial_trace():
