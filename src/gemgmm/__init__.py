@@ -21,6 +21,7 @@ from .analysis import (
     update_map_jacobian,
 )
 from .core import (
+    Dataset,
     GmmParams,
     VectorLayout,
     as_dataset,

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .core import GmmParams, as_dataset
+from .core import Dataset, GmmParams
 from .dynamics import MeanStepWeights, RunTrace, pb_gem_step, w_pb_gem_step
 from .errors import GemGmmError, ValidationError
 
@@ -168,7 +167,9 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
     """Central finite-difference Jacobian of an update map at ``params``.
 
     ``algorithm`` is ``"pb_gem"``, ``"w_pb_gem"`` (with ``design``), or a
-    callable ``(params, data) -> GmmParams`` for custom maps.  Columns
+    callable ``(params, data) -> GmmParams`` for custom maps, which gets
+    the validated samples as an (N, m) array.  ``data`` is checked once
+    for all probes.  Columns
     follow the flat layout; probes along constrained coordinates stay on
     the constraint set (see :func:`_probe_directions`), so directions
     orthogonal to it contribute zero columns (for K=1 the weight
@@ -178,15 +179,15 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
     """
     if not fd_step > 0.0:
         raise ValidationError(f"fd_step must be positive, got {fd_step}")
-    x = as_dataset(data, params.n_features)
+    samples = Dataset(data, params.n_features)
     if callable(algorithm):
-        step = algorithm
+        step = lambda p: algorithm(p, samples.x)
     elif algorithm == "pb_gem":
-        step = pb_gem_step
+        step = lambda p: pb_gem_step(p, samples)
     elif algorithm == "w_pb_gem":
         if design is None:
             raise ValidationError("w_pb_gem requires a MeanStepWeights design")
-        step = partial(w_pb_gem_step, design=design)
+        step = lambda p: w_pb_gem_step(p, samples, design)
     else:
         raise ValidationError(
             f"jacobian analysis supports 'pb_gem', 'w_pb_gem', or a callable, got {algorithm!r}")
@@ -199,8 +200,8 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
             jac[:, idx] = 0.0
             continue
         try:
-            plus = step(GmmParams.from_vector(base + fd_step * direction, k, m), x).to_vector()
-            minus = step(GmmParams.from_vector(base - fd_step * direction, k, m), x).to_vector()
+            plus = step(GmmParams.from_vector(base + fd_step * direction, k, m)).to_vector()
+            minus = step(GmmParams.from_vector(base - fd_step * direction, k, m)).to_vector()
         except GemGmmError as err:
             raise type(err)(f"update step failed at perturbation {idx}: {err}") from err
         jac[:, idx] = (plus - minus) / (2.0 * fd_step)

@@ -8,6 +8,16 @@ components in ``m`` dimensions the vector has length ``K + m*K + m*m*K``.
 
 All densities are evaluated in log space and combined with log-sum-exp,
 so likelihoods stay finite even for points far from every component.
+
+Data layout.  The public functions take samples as an (N, m) array, one
+sample per row (:func:`as_dataset` returns that form), and give
+responsibilities as an (N, K) array.  Internally the kernels hold the
+validated samples feature-major, as one C-contiguous (m, N) array, and
+the responsibilities as (K, N), so every broadcast and reduction over
+the samples runs along a contiguous row of length N.  The public (N, K)
+responsibilities are the transpose view of the internal array, and a
+:class:`Dataset` carries validated (m, N) samples through repeated steps
+without scanning them again.
 """
 
 from __future__ import annotations
@@ -36,6 +46,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def _raise_first_invalid_covariance(cv: np.ndarray) -> None:
+    """Raise for the first component that fails the covariance checks,
+    taking each component's symmetry check before its factorization.
+
+    The checks themselves run batched over the whole (K, m, m) stack;
+    this loop only runs once they have failed, to name the component.
+    """
+    for j in range(cv.shape[0]):
+        asym = np.max(np.abs(cv[j] - cv[j].T))
+        if asym > SYMMETRY_TOL:
+            raise InvalidCovarianceError(f"covariance {j} asymmetric by {asym:.3e} (tol {SYMMETRY_TOL})")
+        try:
+            np.linalg.cholesky(cv[j])
+        except np.linalg.LinAlgError as err:
+            raise InvalidCovarianceError(f"covariance {j} is not positive definite: {err}") from err
+    raise InvalidCovarianceError("covariance stack failed its batched check, but no component did")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,21 +103,20 @@ class GmmParams:
             raise ValidationError("feature dimension must be at least 1")
         if cv.shape != (k, m, m):
             raise ValidationError(f"covs must have shape ({k}, {m}, {m}), got {cv.shape}")
-        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(mu)) or not np.all(np.isfinite(cv)):
+        if not (np.isfinite(w).all() and np.isfinite(mu).all() and np.isfinite(cv).all()):
             raise ValidationError("parameters must be finite")
-        if np.any(w <= 0.0):
+        if (w <= 0.0).any():
             raise SimplexViolationError(f"weights must be strictly positive, got {w}")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise SimplexViolationError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got sum {w.sum()!r}")
-        chol = np.empty_like(cv)
-        for j in range(k):
-            asym = np.max(np.abs(cv[j] - cv[j].T))
-            if asym > SYMMETRY_TOL:
-                raise InvalidCovarianceError(f"covariance {j} asymmetric by {asym:.3e} (tol {SYMMETRY_TOL})")
+        chol = None
+        if np.abs(cv - cv.transpose(0, 2, 1)).max() <= SYMMETRY_TOL:
             try:
-                chol[j] = np.linalg.cholesky(cv[j])
-            except np.linalg.LinAlgError as err:
-                raise InvalidCovarianceError(f"covariance {j} is not positive definite: {err}") from err
+                chol = np.linalg.cholesky(cv)
+            except np.linalg.LinAlgError:
+                pass
+        if chol is None:
+            _raise_first_invalid_covariance(cv)
         object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "means", _frozen(mu))
         object.__setattr__(self, "covs", _frozen(cv))
@@ -208,43 +235,89 @@ def as_dataset(data: np.ndarray, n_features: int | None = None) -> np.ndarray:
     return x
 
 
-def _log_weighted_densities(params: GmmParams, x: np.ndarray) -> np.ndarray:
+class Dataset:
+    """Validated samples, held feature-major.
+
+    ``Dataset(data, n_features)`` checks ``data`` once with
+    :func:`as_dataset` and keeps it as the C-contiguous (m, N) array
+    ``xt``.  The step functions and the E-pass accept a ``Dataset``
+    wherever they accept an (N, m) array and then skip their own check,
+    so a driver that steps many times over the same samples scans them
+    once.
+    """
+
+    __slots__ = ("xt",)
+
+    def __init__(self, data, n_features: int | None = None):
+        xt = np.ascontiguousarray(as_dataset(data, n_features).T)
+        xt.flags.writeable = False
+        self.xt = xt
+
+    @property
+    def n_features(self) -> int:
+        return self.xt.shape[0]
+
+    @property
+    def x(self) -> np.ndarray:
+        """The (N, m) view, one sample per row."""
+        return self.xt.T
+
+
+def _feature_major(data, n_features: int) -> np.ndarray:
+    """Validated (m, N) samples from an (N, m) array or a :class:`Dataset`."""
+    if not isinstance(data, Dataset):
+        return Dataset(data, n_features).xt
+    if data.n_features != n_features:
+        raise ValidationError(f"dataset has {data.n_features} columns, expected {n_features}")
+    return data.xt
+
+
+def _log_weighted_densities(params: GmmParams, xt: np.ndarray) -> np.ndarray:
     """(K, N) matrix of log(w_j * N(x | mean_j, cov_j)), one row per component.
 
-    ``x`` must already be validated.  The triangular solve with each
-    Cholesky factor is a product with its inverse, factored once per
-    call; the loop over components keeps temporaries at N x m.
+    ``xt`` holds validated samples feature-major, (m, N).  The triangular
+    solve with each Cholesky factor is a product with its inverse,
+    factored once per call; the log-determinants and constants are
+    K-vectors; the loop over components reuses two m x N buffers.
     """
     k, m = params.n_components, params.n_features
     inv_chol = np.linalg.inv(params._chol)
-    out = np.empty((k, x.shape[0]))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(params._chol, axis1=1, axis2=2)), axis=1)
+    const = m * _LOG_2PI + logdet
+    maha = np.empty((k, xt.shape[1]))
+    d, y = np.empty_like(xt), np.empty_like(xt)
     for j in range(k):
-        y = inv_chol[j] @ (x - params.means[j]).T
-        maha = np.einsum("ij,ij->j", y, y)
-        logdet = 2.0 * np.sum(np.log(np.diag(params._chol[j])))
-        out[j] = np.log(params.weights[j]) - 0.5 * (m * _LOG_2PI + logdet + maha)
-    return out
+        np.subtract(xt, params.means[j][:, None], out=d)
+        np.matmul(inv_chol[j], d, out=y)
+        np.einsum("ij,ij->j", y, y, out=maha[j])
+    maha += const[:, None]
+    maha *= -0.5
+    maha += np.log(params.weights)[:, None]
+    return maha
 
 
-def _estep(params: GmmParams, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """One log-density pass: the log-likelihood and the (N, K)
-    responsibilities at ``params`` for validated data ``x``.
+def _estep(params: GmmParams, xt: np.ndarray) -> tuple[float, np.ndarray]:
+    """One log-density pass: the log-likelihood and the (K, N)
+    responsibilities at ``params`` for validated (m, N) samples ``xt``.
 
     The log-sum-exp and the normalization reduce over the component axis
-    of the (K, N) log-densities, i.e. over contiguous rows.
+    of the (K, N) log-densities, i.e. over contiguous rows, and run in
+    place: the log-density buffer becomes the responsibilities.
     """
-    lw = _log_weighted_densities(params, x)
-    amax = lw.max(axis=0)
-    shift = np.where(np.isfinite(amax), amax, 0.0)
-    dens = np.exp(lw - shift)
+    dens = _log_weighted_densities(params, xt)
+    shift = dens.max(axis=0)
+    shift[~np.isfinite(shift)] = 0.0
+    dens -= shift
+    np.exp(dens, out=dens)
     total = dens.sum(axis=0)
     with np.errstate(divide="ignore"):
-        lse = np.log(total) + shift
+        lse = np.log(total)
+    lse += shift
     if not np.all(np.isfinite(lse)):
         bad = int(np.flatnonzero(~np.isfinite(lse))[0])
         raise NumericUnderflowError(f"mixture density underflowed at sample {bad}")
     dens /= total
-    return float(lse.sum()), dens.T
+    return float(lse.sum()), dens
 
 
 def component_density(params: GmmParams, j: int, x: np.ndarray) -> float:
@@ -253,18 +326,21 @@ def component_density(params: GmmParams, j: int, x: np.ndarray) -> float:
     """
     if not 0 <= j < params.n_components:
         raise ValidationError(f"component index {j} out of range for K={params.n_components}")
-    x = as_dataset(np.asarray(x, dtype=float).reshape(1, -1), params.n_features)
-    return float(np.exp(_log_weighted_densities(params, x)[j, 0]))
+    xt = _feature_major(np.asarray(x, dtype=float).reshape(1, -1), params.n_features)
+    return float(np.exp(_log_weighted_densities(params, xt)[j, 0]))
 
 
-def log_likelihood(params: GmmParams, data: np.ndarray) -> float:
+def log_likelihood(params: GmmParams, data) -> float:
     """Sum over samples of the log mixture density."""
-    return _estep(params, as_dataset(data, params.n_features))[0]
+    return _estep(params, _feature_major(data, params.n_features))[0]
 
 
-def responsibilities(params: GmmParams, data: np.ndarray) -> np.ndarray:
-    """(N, K) posterior membership probabilities; rows sum to 1."""
-    return _estep(params, as_dataset(data, params.n_features))[1]
+def responsibilities(params: GmmParams, data) -> np.ndarray:
+    """(N, K) posterior membership probabilities; rows sum to 1.
+
+    The result is the transpose view of the internal (K, N) array.
+    """
+    return _estep(params, _feature_major(data, params.n_features))[1].T
 
 
 def q_function(params: GmmParams, params_prev: GmmParams, data: np.ndarray) -> float:
@@ -274,9 +350,9 @@ def q_function(params: GmmParams, params_prev: GmmParams, data: np.ndarray) -> f
     log-densities at ``params``.  One update step that increases this
     value (a generalized M-step) cannot decrease the log-likelihood.
     """
-    x = as_dataset(data, params.n_features)
-    h = _estep(params_prev, x)[1]
-    lw = _log_weighted_densities(params, x).T
+    xt = _feature_major(data, params.n_features)
+    h = _estep(params_prev, xt)[1]
+    lw = _log_weighted_densities(params, xt)
     with np.errstate(invalid="ignore"):
         terms = np.where(h > 0.0, h * lw, 0.0)
     total = float(terms.sum())

@@ -9,9 +9,11 @@ steps compute it in structured form from one set of responsibilities:
              symmetrized,
 
 with ``beta_j = 1`` for :func:`pb_gem_step` and the design's factors for
-:func:`w_pb_gem_step`.  :func:`run` makes one log-density pass per
-iteration: the pass that scores the new iterate also yields the
-responsibilities that the next step consumes.
+:func:`w_pb_gem_step`.  :func:`run` checks its data once, as a
+:class:`~gemgmm.core.Dataset` that every step accepts without a second
+scan, and makes one log-density pass per iteration: the pass that
+scores the new iterate also yields the responsibilities that the next
+step consumes.
 
 The same step written as a projected preconditioned gradient step,
 
@@ -35,8 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GmmParams, VectorLayout, _estep, as_dataset
-from .engine import _m_step, em_step, shifted_em_step, soft_counts
+from .core import Dataset, GmmParams, VectorLayout, _estep
+from .engine import _e_inputs, _m_step, em_step, shifted_em_step, soft_counts
 from .errors import (
     DegenerateComponentError,
     InvalidCovarianceError,
@@ -106,14 +108,12 @@ class Preconditioner:
         return full
 
 
-def build_preconditioner(params: GmmParams, data: np.ndarray,
+def build_preconditioner(params: GmmParams, data,
                          resp: np.ndarray | None = None) -> Preconditioner:
     """Evaluate the preconditioner blocks at ``params``."""
-    x = as_dataset(data, params.n_features)
-    if resp is None:
-        resp = _estep(params, x)[1]
-    counts = soft_counts(resp)
-    n = x.shape[0]
+    xt, rt = _e_inputs(params, data, resp)
+    counts = soft_counts(rt.T)
+    n = xt.shape[1]
     w = params.weights
     p_weights = (np.diag(w) - np.outer(w, w)) / n
     return Preconditioner(p_weights, params.covs, counts, params.layout)
@@ -180,11 +180,9 @@ class MeanStepWeights:
         return d
 
 
-def _gem_step(params: GmmParams, x: np.ndarray, resp: np.ndarray | None,
+def _gem_step(params: GmmParams, data, resp: np.ndarray | None,
               betas: np.ndarray | None) -> GmmParams:
-    if resp is None:
-        resp = _estep(params, x)[1]
-    weights, means, covs = _m_step(params, x, resp, shifted=True)
+    weights, means, covs = _m_step(params, *_e_inputs(params, data, resp), shifted=True)
     d_w = weights - params.weights
     d_w -= d_w.mean()
     d_mu = means - params.means
@@ -195,32 +193,30 @@ def _gem_step(params: GmmParams, x: np.ndarray, resp: np.ndarray | None,
     return GmmParams(params.weights + d_w, params.means + d_mu, covs)
 
 
-def pb_gem_step(params: GmmParams, data: np.ndarray,
+def pb_gem_step(params: GmmParams, data,
                 resp: np.ndarray | None = None) -> GmmParams:
     """One projected preconditioned gradient-ascent step.
 
     Coincides with :func:`engine.shifted_em_step` up to roundoff: the
     preconditioned gradient already equals the EM increment, whose weight
     block is zero-sum, so the projection (centering the weight increment)
-    only removes roundoff drift.  ``resp`` may carry precomputed
-    responsibilities at ``params``, as in :func:`engine.em_step`.
+    only removes roundoff drift.  ``data`` and ``resp`` work as in
+    :func:`engine.em_step`.
     """
-    x = as_dataset(data, params.n_features)
-    return _gem_step(params, x, resp, betas=None)
+    return _gem_step(params, data, resp, betas=None)
 
 
-def w_pb_gem_step(params: GmmParams, data: np.ndarray, design: MeanStepWeights,
+def w_pb_gem_step(params: GmmParams, data, design: MeanStepWeights,
                   resp: np.ndarray | None = None) -> GmmParams:
     """Weighted variant: mean increments scale by ``design.betas``.
 
     With all betas equal to 1 this reproduces :func:`pb_gem_step`
     bit-exactly.  ``resp`` works as in :func:`pb_gem_step`.
     """
-    x = as_dataset(data, params.n_features)
     if design.betas.size != params.n_components:
         raise ValidationError(
             f"need one beta per component ({params.n_components}), got {design.betas.size}")
-    return _gem_step(params, x, resp, betas=design.betas)
+    return _gem_step(params, data, resp, betas=design.betas)
 
 
 @dataclass(frozen=True)
@@ -281,7 +277,7 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
     if max_iters < 1:
         raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
 
-    x = as_dataset(data, params.n_features)
+    samples = Dataset(data, params.n_features)
     if algorithm == "em":
         step_fn = em_step
     elif algorithm == "shifted_em":
@@ -300,14 +296,14 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
     cur_vec = params.to_vector()
     # One log-density pass per iterate: it scores the iterate and gives
     # the responsibilities that the next step starts from.
-    loglik, resp = _estep(cur, x)
+    loglik, rt = _estep(cur, samples.xt)
     a_res, s_res = _residuals(cur)
     records = [TraceRecord(0, loglik, 0.0, a_res, s_res, cur_vec.copy())]
     reason = "max_iters"
     for k in range(1, max_iters + 1):
         try:
-            new = step_fn(cur, x, resp=resp)
-            new_loglik, resp = _estep(new, x)
+            new = step_fn(cur, samples, resp=rt.T)
+            new_loglik, rt = _estep(new, samples.xt)
         except (SimplexViolationError, InvalidCovarianceError,
                 DegenerateComponentError, NumericUnderflowError) as err:
             partial = RunTrace(records, "error", cur, algorithm, time.perf_counter() - t0)

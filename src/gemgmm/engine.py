@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GmmParams, _estep, as_dataset
+from .core import GmmParams, _estep, _feature_major
 from .errors import DegenerateComponentError, ValidationError
 
 # A component whose responsibility mass falls below this fraction of N is
@@ -31,48 +31,59 @@ def soft_counts(resp: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _m_step(params: GmmParams, x: np.ndarray, resp: np.ndarray,
+def _e_inputs(params: GmmParams, data, resp: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (m, N) samples and (K, N) responsibilities at ``params``.
+
+    ``resp`` is the public (N, K) form, or None to run the E-pass.  When
+    it is the transpose view that :func:`~gemgmm.core.responsibilities`
+    returns, turning it back into (K, N) copies nothing.
+    """
+    xt = _feature_major(data, params.n_features)
+    if resp is None:
+        return xt, _estep(params, xt)[1]
+    return xt, np.ascontiguousarray(np.asarray(resp, dtype=float).T)
+
+
+def _m_step(params: GmmParams, xt: np.ndarray, rt: np.ndarray,
             shifted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (weights, means, covs) of the EM update, unvalidated."""
-    n = x.shape[0]
-    counts = soft_counts(resp)
+    """Closed-form (weights, means, covs) of the EM update, unvalidated,
+    from (m, N) samples and (K, N) responsibilities."""
+    n = xt.shape[1]
+    counts = soft_counts(rt.T)
     weights = counts / n
-    means = (resp.T @ x) / counts[:, None]
+    means = (rt @ xt.T) / counts[:, None]
     centers = params.means if shifted else means
     covs = np.empty_like(params.covs)
+    d, rd = np.empty_like(xt), np.empty_like(xt)
     for j in range(params.n_components):
-        d = x - centers[j]
-        c = (resp[:, j, None] * d).T @ d / counts[j]
+        np.subtract(xt, centers[j][:, None], out=d)
+        np.multiply(rt[j], d, out=rd)
+        c = rd @ d.T / counts[j]
         covs[j] = 0.5 * (c + c.T)
     return weights, means, covs
 
 
-def em_step(params: GmmParams, data: np.ndarray, resp: np.ndarray | None = None) -> GmmParams:
+def em_step(params: GmmParams, data, resp: np.ndarray | None = None) -> GmmParams:
     """One classic EM iteration (covariances centered on the new means).
 
-    ``resp`` may carry precomputed responsibilities at ``params`` to
-    avoid a redundant E-step.
+    ``data`` is an (N, m) array or a :class:`~gemgmm.core.Dataset`.
+    ``resp`` may carry precomputed (N, K) responsibilities at ``params``
+    to avoid a redundant E-step.
     """
-    x = as_dataset(data, params.n_features)
-    if resp is None:
-        resp = _estep(params, x)[1]
-    return GmmParams(*_m_step(params, x, resp, shifted=False))
+    return GmmParams(*_m_step(params, *_e_inputs(params, data, resp), shifted=False))
 
 
-def shifted_em_step(params: GmmParams, data: np.ndarray, resp: np.ndarray | None = None) -> GmmParams:
+def shifted_em_step(params: GmmParams, data, resp: np.ndarray | None = None) -> GmmParams:
     """One EM iteration with the shifted covariance update.
 
     Weights and means update as in :func:`em_step`; each covariance is
     the responsibility-weighted second moment about the *current* mean.
-    ``resp`` works as in :func:`em_step`.
+    ``data`` and ``resp`` work as in :func:`em_step`.
     """
-    x = as_dataset(data, params.n_features)
-    if resp is None:
-        resp = _estep(params, x)[1]
-    return GmmParams(*_m_step(params, x, resp, shifted=True))
+    return GmmParams(*_m_step(params, *_e_inputs(params, data, resp), shifted=True))
 
 
-def grad_log_likelihood(params: GmmParams, data: np.ndarray,
+def grad_log_likelihood(params: GmmParams, data,
                         resp: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the log-likelihood in the flat parameter layout.
 
@@ -84,20 +95,18 @@ def grad_log_likelihood(params: GmmParams, data: np.ndarray,
     - d/dvec(C_j) = 0.5 vec(inv(C_j) M_j inv(C_j) - (sum_t h_j(t)) inv(C_j)),
       M_j = sum_t h_j(t) (x_t - mean_j)(x_t - mean_j)'
     """
-    x = as_dataset(data, params.n_features)
-    if resp is None:
-        resp = _estep(params, x)[1]
+    xt, rt = _e_inputs(params, data, resp)
     k, m = params.n_components, params.n_features
-    counts = resp.sum(axis=0)
+    counts = rt.sum(axis=1)
     g_w = counts / params.weights
     g_mu = np.empty((k, m))
     g_cv = np.empty((k, m, m))
     for j in range(k):
-        d = x - params.means[j]
-        hd = resp[:, j, None] * d
+        d = xt - params.means[j][:, None]
+        hd = rt[j] * d
         inv = np.linalg.inv(params.covs[j])
-        g_mu[j] = inv @ hd.sum(axis=0)
-        mj = hd.T @ d
+        g_mu[j] = inv @ hd.sum(axis=1)
+        mj = hd @ d.T
         mj = 0.5 * (mj + mj.T)
         g_cv[j] = 0.5 * (inv @ mj @ inv - counts[j] * inv)
     return params.layout.join(g_w, g_mu, g_cv)

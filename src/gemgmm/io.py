@@ -19,6 +19,10 @@ TRACE_HEADER = "iter,loglik,step_norm,alpha_residual,sym_residual"
 
 PARAM_KEYS = ("K", "m", "alpha", "mu", "sigma")
 
+# Dataset rows turned into text per write: bounds the Python floats and
+# strings alive at once, whatever N is.
+CSV_CHUNK_ROWS = 4096
+
 
 def params_to_dict(params: GmmParams) -> dict:
     """Schema: {"K", "m", "alpha": [K], "mu": [K][m], "sigma": [K][m][m]}
@@ -77,8 +81,10 @@ def load_params(path) -> GmmParams:
 def save_dataset(path, data: np.ndarray) -> None:
     """CSV, one sample per row, no header."""
     x = as_dataset(data)
-    lines = [",".join(repr(float(v)) for v in row) for row in x]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        for start in range(0, x.shape[0], CSV_CHUNK_ROWS):
+            rows = x[start:start + CSV_CHUNK_ROWS].tolist()
+            fh.write("\n".join([",".join(map(repr, row)) for row in rows]) + "\n")
 
 
 def load_dataset(path, header: bool = False) -> np.ndarray:

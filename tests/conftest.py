@@ -3,11 +3,17 @@
 The oracle functions below re-derive the density, log-likelihood, and
 flat parameter layout from scratch (plain loops, inv/det instead of
 Cholesky plus log-sum-exp) so tests do not lean on the code under test.
+``reference_estep`` and ``reference_m_step`` are the per-component
+kernels written over sample-major (N, m) data, the reference for the
+package's feature-major (m, N) kernels.
 """
 
-import numpy as np
+import math
 
-from gemgmm import GmmParams
+import numpy as np
+import pytest
+
+from gemgmm import GmmParams, core
 
 
 def make_params(rng, k, m, spread=2.0):
@@ -97,3 +103,54 @@ def align_means(means, target):
     direct = np.abs(means - target).max()
     swapped = np.abs(means - target[::-1]).max()
     return min(direct, swapped)
+
+
+# (K, m, N) shapes on which the package kernels are checked against the
+# references below.
+ORACLE_SHAPES = [(1, 1, 7), (2, 2, 40), (3, 3, 25), (8, 16, 500)]
+
+
+def reference_estep(params, x):
+    """Log-likelihood and (N, K) responsibilities from (N, m) samples,
+    one component at a time through the inverse Cholesky factor."""
+    k, m = params.n_components, params.n_features
+    chol = np.linalg.cholesky(params.covs)
+    inv_chol = np.linalg.inv(chol)
+    lw = np.empty((k, x.shape[0]))
+    for j in range(k):
+        y = inv_chol[j] @ (x - params.means[j]).T
+        maha = np.einsum("ij,ij->j", y, y)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol[j])))
+        lw[j] = np.log(params.weights[j]) - 0.5 * (m * math.log(2.0 * math.pi) + logdet + maha)
+    amax = lw.max(axis=0)
+    dens = np.exp(lw - amax)
+    total = dens.sum(axis=0)
+    return float((np.log(total) + amax).sum()), (dens / total).T
+
+
+def reference_m_step(params, x, resp, shifted):
+    """(weights, means, covs) of the EM update from (N, m) samples and
+    (N, K) responsibilities, one covariance at a time."""
+    counts = resp.sum(axis=0)
+    means = (resp.T @ x) / counts[:, None]
+    centers = params.means if shifted else means
+    covs = np.empty_like(params.covs)
+    for j in range(params.n_components):
+        d = x - centers[j]
+        c = (resp[:, j, None] * d).T @ d / counts[j]
+        covs[j] = 0.5 * (c + c.T)
+    return counts / x.shape[0], means, covs
+
+
+@pytest.fixture
+def dataset_scans(monkeypatch):
+    """A list that grows by one entry each time ``core.as_dataset`` runs."""
+    scans = []
+    original = core.as_dataset
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(core, "as_dataset", counted)
+    return scans

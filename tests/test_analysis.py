@@ -227,6 +227,28 @@ def test_weighted_jacobian_with_unit_betas_matches_plain():
     assert np.allclose(a.jacobian, b.jacobian, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("algorithm, design", [
+    ("pb_gem", None), ("w_pb_gem", MeanStepWeights([0.9, 0.7]))])
+def test_jacobian_checks_its_data_once(dataset_scans, algorithm, design):
+    rng = np.random.default_rng(231)
+    p = make_params(rng, 2, 2)
+    x = make_dataset(rng, 30, 2)
+    update_map_jacobian(p, x, algorithm, design=design)
+    assert len(dataset_scans) == 1
+
+
+def test_jacobian_custom_map_gets_validated_samples():
+    p = GmmParams([1.0], [[0.0]], [np.eye(1)])
+    seen = []
+
+    def identity(q, d):
+        seen.append(d)
+        return q
+
+    update_map_jacobian(p, [[0.0], [1.0], [3.0]], identity)
+    assert all(isinstance(d, np.ndarray) and d.tolist() == [[0.0], [1.0], [3.0]] for d in seen)
+
+
 def test_jacobian_argument_validation():
     p = GmmParams([1.0], [[0.0]], [np.eye(1)])
     x = [[0.0], [1.0]]

@@ -20,11 +20,13 @@ from gemgmm.core import _estep, as_dataset
 from gemgmm.engine import em_step
 
 from conftest import (
+    ORACLE_SHAPES,
     make_dataset,
     make_params,
     naive_component_density,
     naive_loglik,
     naive_responsibilities,
+    reference_estep,
     theta_split,
 )
 
@@ -75,6 +77,20 @@ def test_params_rejects_indefinite_covariance():
     cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(InvalidCovarianceError):
         GmmParams([1.0], [[0.0, 0.0]], [cov])
+
+
+@pytest.mark.parametrize("covs, message", [
+    ([np.eye(2), 2.0 * np.eye(2), [[1.0, 0.2], [0.1, 1.0]]],
+     r"covariance 2 asymmetric by 1\.000e-01"),
+    ([np.eye(2), 2.0 * np.eye(2), [[1.0, 2.0], [2.0, 1.0]]],
+     "covariance 2 is not positive definite"),
+    # each component's symmetry check comes before its factorization
+    ([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.2], [0.1, 1.0]]],
+     "covariance 1 is not positive definite"),
+])
+def test_params_error_names_first_bad_component_of_stack(covs, message):
+    with pytest.raises(InvalidCovarianceError, match=message):
+        GmmParams([0.25, 0.25, 0.5], np.zeros((3, 2)), covs)
 
 
 def test_params_rejects_nonfinite():
@@ -274,16 +290,28 @@ def test_estep_returns_exactly_loglik_and_responsibilities(k, m, n):
     rng = np.random.default_rng(300 + 10 * k + m)
     p = make_params(rng, k, m)
     x = make_dataset(rng, n, m)
-    ll, h = _estep(p, as_dataset(x))
+    xt = np.ascontiguousarray(as_dataset(x).T)
+    ll, h = _estep(p, xt)
     assert ll == log_likelihood(p, x)
-    assert np.array_equal(h, responsibilities(p, x))
-    assert h.shape == (n, k)
+    assert h.shape == (k, n) and h.flags.c_contiguous
+    assert np.array_equal(h.T, responsibilities(p, x))
+
+
+@pytest.mark.parametrize("k, m, n", ORACLE_SHAPES)
+def test_estep_matches_sample_major_reference(k, m, n):
+    rng = np.random.default_rng(500 + 10 * k + m)
+    p = make_params(rng, k, m)
+    x = make_dataset(rng, n, m)
+    ll, h = _estep(p, np.ascontiguousarray(x.T))
+    ref_ll, ref_h = reference_estep(p, x)
+    assert abs(ll - ref_ll) <= 1e-12 * abs(ref_ll)
+    assert np.max(np.abs(h.T - ref_h)) <= 1e-14
 
 
 def test_estep_reports_underflow():
     p = GmmParams([0.5, 0.5], [[0.0], [1.0]], [np.eye(1), np.eye(1)])
     with pytest.raises(NumericUnderflowError):
-        _estep(p, as_dataset([[0.0], [1e300]]))
+        _estep(p, np.array([[0.0, 1e300]]))
 
 
 # ---------------------------------------------------------- responsibilities

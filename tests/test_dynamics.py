@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gemgmm import (
+    Dataset,
     GmmParams,
     MeanStepWeights,
     StepFailure,
@@ -367,6 +368,33 @@ def test_run_makes_one_density_pass_per_iterate(monkeypatch, algorithm):
     trace = run(TRUTH, data, algorithm, design=design, max_iters=400)
     assert trace.reason == "tolerance"
     assert len(passes) == trace.iterations + 1
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_checks_its_data_once(dataset_scans, algorithm):
+    data = sample(TRUTH, 200, 179)
+    design = W_DESIGN if algorithm == "w_pb_gem" else None
+    trace = run(START, data, algorithm, design=design, max_iters=5, rel_ll_tol=1e-300)
+    assert trace.iterations == 5
+    assert len(dataset_scans) == 1
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_steps_take_arrays_lists_and_datasets_alike(dataset_scans, algorithm):
+    data = sample(TRUTH, 60, 181)
+    step = HAND_STEPS[algorithm]
+    ref = step(START, data).to_vector()
+    assert len(dataset_scans) == 1
+    assert np.array_equal(step(START, data.tolist()).to_vector(), ref)
+    samples = Dataset(data, 2)
+    assert len(dataset_scans) == 3
+    assert np.array_equal(step(START, samples).to_vector(), ref)
+    assert len(dataset_scans) == 3
+
+
+def test_dataset_rejects_feature_mismatch():
+    with pytest.raises(ValidationError):
+        pb_gem_step(START, Dataset(np.zeros((4, 3))))
 
 
 def test_run_wraps_step_failures_with_partial_trace():

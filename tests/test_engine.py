@@ -12,13 +12,16 @@ from gemgmm import (
     responsibilities,
     shifted_em_step,
 )
-from gemgmm.engine import soft_counts
+from gemgmm.engine import _m_step, soft_counts
 
 from conftest import (
+    ORACLE_SHAPES,
     fd_loglik_gradient,
     make_dataset,
     make_params,
     naive_responsibilities,
+    reference_estep,
+    reference_m_step,
 )
 
 
@@ -104,6 +107,19 @@ def test_m_step_matches_hand_rolled_formulas():
     assert np.allclose(classic.means, mu_ref, rtol=0, atol=1e-14)
     assert np.allclose(classic.covs, cv_classic, rtol=0, atol=1e-14)
     assert np.allclose(shifted.covs, cv_shifted, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("k, m, n", ORACLE_SHAPES)
+def test_m_step_matches_sample_major_reference(k, m, n, shifted):
+    rng = np.random.default_rng(600 + 10 * k + m)
+    p = make_params(rng, k, m)
+    x = make_dataset(rng, n, m)
+    h = reference_estep(p, x)[1]
+    got = _m_step(p, np.ascontiguousarray(x.T), np.ascontiguousarray(h.T), shifted)
+    for block, ref in zip(got, reference_m_step(p, x, h, shifted)):
+        assert block.shape == ref.shape
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_precomputed_responsibilities_give_identical_step():

@@ -110,6 +110,16 @@ def test_dataset_bytes_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_dataset_csv_bytes_for_awkward_values(tmp_path):
+    x = np.array([[-0.0, 1e-300, 1e16], [0.1 + 0.2, 5e-324, -2.5]])
+    path = tmp_path / "awkward.csv"
+    save_dataset(path, x)
+    assert path.read_text() == (
+        "-0.0,1e-300,1e+16\n"
+        "0.30000000000000004,5e-324,-2.5\n")
+    assert np.array_equal(load_dataset(path), x)
+
+
 def test_dataset_single_feature_round_trip(tmp_path):
     x = np.array([[1.5], [-2.25], [0.0]])
     path = tmp_path / "one.csv"
