@@ -1,11 +1,11 @@
 """Gaussian mixture estimation via preconditioned generalized EM updates.
 
 The package implements a family of update maps for maximum-likelihood
-GMM fitting -- classic EM, shifted-covariance EM, raw gradient ascent,
-and projected preconditioned gradient steps (plain and weighted) that
-reproduce the shifted EM step exactly -- plus a convergence-analysis
-toolkit (LMI rate certificates, update-map Jacobian spectra) and an
-experiment harness with a CLI.
+GMM fitting -- classic EM, shifted-covariance EM, and projected
+preconditioned gradient steps (plain and weighted) that reproduce the
+shifted EM step exactly -- plus a convergence-analysis toolkit (LMI rate
+certificates, update-map Jacobian spectra) and an experiment harness
+with a CLI.
 """
 
 from .analysis import (
@@ -46,7 +46,6 @@ from .dynamics import (
 )
 from .engine import (
     em_step,
-    grad_ascent_gem_step,
     grad_log_likelihood,
     shifted_em_step,
     soft_counts,

@@ -34,8 +34,8 @@ from .errors import (
     ValidationError,
 )
 
-# Tolerances used by the constraint checks (also re-checked after every
-# preconditioned step, see dynamics.py).
+# Tolerances of the constraint checks that every GmmParams passes, so
+# every iterate of dynamics.run as well.
 WEIGHT_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 
@@ -371,6 +371,8 @@ def sample(params: GmmParams, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValidationError(f"sample count must be at least 1, got {n}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     k, m = params.n_components, params.n_features
     rng = np.random.default_rng(seed)
     labels = rng.choice(k, size=n, p=params.weights)

@@ -13,7 +13,9 @@ with ``beta_j = 1`` for :func:`pb_gem_step` and the design's factors for
 :class:`~gemgmm.core.Dataset` that every step accepts without a second
 scan, and makes one log-density pass per iteration: the pass that
 scores the new iterate also yields the responsibilities that the next
-step consumes.
+step consumes.  The loop keeps only the current iterate, its
+log-likelihood and its responsibilities; the flat vector is built on
+snapshot iterations only.
 
 The same step written as a projected preconditioned gradient step,
 
@@ -31,6 +33,7 @@ used by analysis code; they are not on the iteration path.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -221,13 +224,15 @@ def w_pb_gem_step(params: GmmParams, data, design: MeanStepWeights,
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One iteration of a run (iteration 0 is the starting point)."""
+    """One iteration of a run (iteration 0 is the starting point).
+
+    ``step_norm`` is the length of the change from the previous iterate
+    in the flat layout; ``snapshot`` is the flat iterate or None.
+    """
 
     iteration: int
     loglik: float
     step_norm: float
-    alpha_residual: float
-    sym_residual: float
     snapshot: np.ndarray | None = None
 
 
@@ -250,10 +255,13 @@ class RunTrace:
         return np.array([r.loglik for r in self.records])
 
 
-def _residuals(params: GmmParams) -> tuple[float, float]:
-    alpha_res = abs(float(params.weights.sum()) - 1.0)
-    sym_res = float(np.max(np.abs(params.covs - params.covs.transpose(0, 2, 1))))
-    return alpha_res, sym_res
+def _step_norm(new: GmmParams, cur: GmmParams) -> float:
+    """Euclidean norm of ``new - cur`` in the flat layout, block by block."""
+    sq = 0.0
+    for a, b in ((new.weights, cur.weights), (new.means, cur.means), (new.covs, cur.covs)):
+        d = (a - b).ravel()
+        sq += float(d @ d)
+    return math.sqrt(sq)
 
 
 def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
@@ -293,12 +301,10 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
 
     t0 = time.perf_counter()
     cur = params
-    cur_vec = params.to_vector()
     # One log-density pass per iterate: it scores the iterate and gives
     # the responsibilities that the next step starts from.
     loglik, rt = _estep(cur, samples.xt)
-    a_res, s_res = _residuals(cur)
-    records = [TraceRecord(0, loglik, 0.0, a_res, s_res, cur_vec.copy())]
+    records = [TraceRecord(0, loglik, 0.0, cur.to_vector())]
     reason = "max_iters"
     for k in range(1, max_iters + 1):
         try:
@@ -308,15 +314,12 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
                 DegenerateComponentError, NumericUnderflowError) as err:
             partial = RunTrace(records, "error", cur, algorithm, time.perf_counter() - t0)
             raise StepFailure(k, partial, err) from err
-        new_vec = new.to_vector()
-        a_res, s_res = _residuals(new)
-        snap = new_vec.copy() if k % stride == 0 else None
-        records.append(TraceRecord(k, new_loglik, float(np.linalg.norm(new_vec - cur_vec)),
-                                   a_res, s_res, snap))
+        snap = new.to_vector() if k % stride == 0 else None
+        records.append(TraceRecord(k, new_loglik, _step_norm(new, cur), snap))
         # Relative stopping rule; fall back to absolute change at L = 0.
         scale = abs(loglik) if loglik != 0.0 else 1.0
         converged = abs(new_loglik - loglik) < rel_ll_tol * scale
-        cur, cur_vec, loglik = new, new_vec, new_loglik
+        cur, loglik = new, new_loglik
         if converged:
             reason = "tolerance"
             break

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import GmmParams, _estep, _feature_major
-from .errors import DegenerateComponentError, ValidationError
+from .errors import DegenerateComponentError
 
 # A component whose responsibility mass falls below this fraction of N is
 # numerically empty; the closed-form updates would divide by ~0.
@@ -111,14 +111,3 @@ def grad_log_likelihood(params: GmmParams, data,
         g_cv[j] = 0.5 * (inv @ mj @ inv - counts[j] * inv)
     return params.layout.join(g_w, g_mu, g_cv)
 
-
-def grad_ascent_gem_step(params: GmmParams, data: np.ndarray, eta: float) -> np.ndarray:
-    """Plain gradient-ascent update ``vec + eta * grad``, returned raw.
-
-    No constraint is enforced: the weight block drifts off the simplex
-    by exactly ``eta`` times the summed weight gradient.  This is the
-    naive baseline the preconditioned/projected steps improve on.
-    """
-    if not eta > 0.0:
-        raise ValidationError(f"step size must be positive, got {eta}")
-    return params.to_vector() + eta * grad_log_likelihood(params, data)

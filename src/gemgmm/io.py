@@ -15,7 +15,7 @@ from .core import GmmParams, as_dataset
 from .dynamics import RunTrace
 from .errors import ValidationError
 
-TRACE_HEADER = "iter,loglik,step_norm,alpha_residual,sym_residual"
+TRACE_HEADER = "iter,loglik,step_norm"
 
 PARAM_KEYS = ("K", "m", "alpha", "mu", "sigma")
 
@@ -99,16 +99,15 @@ def load_dataset(path, header: bool = False) -> np.ndarray:
 
 
 def save_trace_csv(path, trace: RunTrace) -> None:
-    """Fixed five-column format; snapshots are not serialized."""
+    """One row per record in TRACE_HEADER order; snapshots are not serialized."""
     lines = [TRACE_HEADER]
     for r in trace.records:
-        lines.append(f"{r.iteration},{float(r.loglik)!r},{float(r.step_norm)!r},"
-                     f"{float(r.alpha_residual)!r},{float(r.sym_residual)!r}")
+        lines.append(f"{r.iteration},{float(r.loglik)!r},{float(r.step_norm)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_trace_csv(path) -> np.ndarray:
-    """(n, 5) array in TRACE_HEADER column order."""
+    """(n, 3) array in TRACE_HEADER column order."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"trace file not found: {path}")
@@ -116,6 +115,6 @@ def load_trace_csv(path) -> np.ndarray:
         arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as err:
         raise ValidationError(f"could not parse trace {path}: {err}") from err
-    if arr.shape[1] != 5:
-        raise ValidationError(f"trace {path} has {arr.shape[1]} columns, expected 5")
+    if arr.shape[1] != TRACE_HEADER.count(",") + 1:
+        raise ValidationError(f"trace {path} has {arr.shape[1]} columns, expected {TRACE_HEADER}")
     return arr

@@ -66,6 +66,18 @@ def _recovery_errors(params):
     return min(direct, swapped), alpha_err
 
 
+def _constraint_residuals(trace):
+    """Largest |sum(w) - 1| and covariance asymmetry over a trace's
+    snapshots; every snapshot must also rebuild into a GmmParams."""
+    alpha_res = sym_res = 0.0
+    for record in trace.records:
+        w, _, cv = TRUTH.layout.split(record.snapshot)
+        alpha_res = max(alpha_res, abs(float(w.sum()) - 1.0))
+        sym_res = max(sym_res, float(np.max(np.abs(cv - cv.transpose(0, 2, 1)))))
+        assert GmmParams.from_vector(record.snapshot, 2, 2).n_components == 2
+    return alpha_res, sym_res
+
+
 @pytest.fixture(scope="module")
 def canonical():
     """One full benchmark run per algorithm with per-iteration snapshots."""
@@ -81,7 +93,8 @@ def canonical():
 
 @pytest.fixture(scope="module")
 def seed_pool():
-    """Both algorithms across the frozen seed pool (no snapshots kept)."""
+    """Both algorithms across the frozen seed pool; the snapshots are
+    reduced to their constraint residuals and not kept."""
     t0 = time.perf_counter()
     rows = []
     for seed in POOL_SEEDS:
@@ -91,15 +104,16 @@ def seed_pool():
             design = DESIGN if algorithm == "w_pb_gem" else None
             trace = run(START, data, algorithm, design=design,
                         rel_ll_tol=TOL, max_iters=1500,
-                        snapshot_stride=10**9)
+                        snapshot_stride=1)
             mean_err, alpha_err = _recovery_errors(trace.final_params)
+            alpha_res, sym_res = _constraint_residuals(trace)
             row[algorithm] = {
                 "iterations": trace.iterations,
                 "reason": trace.reason,
                 "mean_err": mean_err,
                 "alpha_err": alpha_err,
-                "max_alpha_residual": max(r.alpha_residual for r in trace.records),
-                "max_sym_residual": max(r.sym_residual for r in trace.records),
+                "max_alpha_residual": alpha_res,
+                "max_sym_residual": sym_res,
             }
         rows.append(row)
     return {"rows": rows, "elapsed_s": time.perf_counter() - t0}
@@ -209,9 +223,9 @@ def test_rate_bound_grid_consistency():
                 assert not lmi_check(mu, 0.4, bounds), (m_lo, L_hi, mu)
 
 
-# 6. Constraint preservation: weight-sum and symmetry residuals stay
-#    below 1e-12 on every recorded iteration, and every snapshot admits
-#    a Cholesky factorization.
+# 6. Constraint preservation: on every iterate, read from its snapshot,
+#    the weight-sum and symmetry residuals stay below 1e-12 and the
+#    snapshot rebuilds into a validated GmmParams (Cholesky included).
 
 def test_constraints_preserved_across_benchmark_runs(canonical, seed_pool):
     for row in seed_pool["rows"]:
@@ -219,11 +233,9 @@ def test_constraints_preserved_across_benchmark_runs(canonical, seed_pool):
             assert row[algorithm]["max_alpha_residual"] < 1e-12, row["seed"]
             assert row[algorithm]["max_sym_residual"] < 1e-12, row["seed"]
     for trace in canonical["traces"].values():
-        for record in trace.records:
-            assert record.alpha_residual < 1e-12
-            assert record.sym_residual < 1e-12
-            rebuilt = GmmParams.from_vector(record.snapshot, 2, 2)
-            assert rebuilt.n_components == 2
+        alpha_res, sym_res = _constraint_residuals(trace)
+        assert alpha_res < 1e-12
+        assert sym_res < 1e-12
 
 
 # 7. Local stability: all Jacobian eigenvalue moduli of the update map

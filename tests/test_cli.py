@@ -158,6 +158,12 @@ def test_generate_rejects_bad_counts(tmp_path):
     assert main(["generate", "--config", cfg]) == 2
 
 
+def test_generate_rejects_negative_seed(tmp_path):
+    cfg = write_config(tmp_path / "c.json", true_model=TRUE_MODEL,
+                       n_samples=10, out=str(tmp_path / "out"))
+    assert main(["generate", "--config", cfg, "--seed", "-3"]) == 2
+
+
 def test_generate_requires_true_model(tmp_path):
     cfg = write_config(tmp_path / "c.json", n_samples=10, out=str(tmp_path / "out"))
     assert main(["generate", "--config", cfg]) == 2
@@ -173,7 +179,7 @@ def test_fit_writes_trace_and_summary(tmp_path):
                        max_iters=2000)
     assert main(["fit", "--config", cfg]) == 0
     arr = load_trace_csv(tmp_path / "fit" / "trace.csv")
-    assert arr.shape[1] == 5
+    assert arr.shape[1] == 3
     assert np.all(np.diff(arr[:, 1]) >= -1e-10 * np.abs(arr[:-1, 1]))
     summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
     assert summary["algorithm"] == "pb_gem"
@@ -321,6 +327,14 @@ def test_replicate_aggregate_row_count_padding(tmp_path):
                   summary["w_pb_gem"]["max_iterations"])
     lines = (tmp_path / "rep" / "replicate.csv").read_text().splitlines()
     assert len(lines) - 3 == longest + 1
+
+
+def test_replicate_rejects_negative_seed_stride(tmp_path):
+    cfg = write_config(tmp_path / "rep.json", true_model=TRUE_MODEL,
+                       n_samples=60, init=ORTHO_INIT, instances=2,
+                       seed_stride=-1, tol=1e-8, max_iters=800,
+                       out=str(tmp_path / "rep"))
+    assert main(["replicate", "--config", cfg]) == 2
 
 
 def test_replicate_requires_two_instances(tmp_path):

@@ -422,6 +422,13 @@ def test_sample_rejects_nonpositive_count():
         sample(p, 0, 1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_sample_rejects_seed_that_is_not_a_nonnegative_integer(seed):
+    p = GmmParams([1.0], [[0.0]], [np.eye(1)])
+    with pytest.raises(ValidationError, match="seed"):
+        sample(p, 5, seed)
+
+
 def test_underflow_is_reported_not_silent():
     # a point 1e6 sigma away drives even the log-space mixture to -inf
     # responsibilities cannot be normalized there

@@ -273,17 +273,20 @@ def test_run_log_likelihood_monotone(algorithm):
     assert np.all(np.diff(ll) >= -1e-10 * np.abs(ll[:-1]))
 
 
-def test_run_trace_shape_and_residuals():
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_trace_shape_and_step_norms(algorithm):
     data = sample(TRUTH, 200, 149)
-    trace = run(TRUTH, data, "pb_gem", max_iters=200)
+    design = MeanStepWeights([0.996, 0.996]) if algorithm == "w_pb_gem" else None
+    trace = run(TRUTH, data, algorithm, design=design, max_iters=200, snapshot_stride=1)
     iters = [r.iteration for r in trace.records]
     assert iters == list(range(len(iters)))
     assert trace.iterations == iters[-1]
     assert trace.records[0].step_norm == 0.0
     assert trace.records[0].loglik == pytest.approx(trace.logliks[0], abs=0)
-    for r in trace.records:
-        assert r.alpha_residual < 1e-12
-        assert r.sym_residual < 1e-12
+    # the block-wise step norm is the norm of the flat-vector difference
+    for prev, r in zip(trace.records, trace.records[1:]):
+        diff = np.linalg.norm(r.snapshot - prev.snapshot)
+        assert r.step_norm == pytest.approx(diff, rel=1e-14, abs=0)
     assert trace.wall_time > 0.0
     v = trace.final_params.to_vector()
     assert np.array_equal(trace.records[-1].snapshot, v)

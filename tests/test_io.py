@@ -164,7 +164,7 @@ def test_trace_csv_round_trip(tmp_path, trace):
     text = path.read_text()
     assert text.splitlines()[0] == TRACE_HEADER
     arr = load_trace_csv(path)
-    assert arr.shape == (len(trace.records), 5)
+    assert arr.shape == (len(trace.records), 3)
     assert np.array_equal(arr[:, 0], [r.iteration for r in trace.records])
     assert np.array_equal(arr[:, 1], trace.logliks)
     assert np.array_equal(arr[:, 2], [r.step_norm for r in trace.records])
@@ -182,6 +182,13 @@ def test_load_trace_checks_column_count(tmp_path):
     path.write_text("iter,loglik\n0,1.0\n")
     with pytest.raises(ValidationError, match="columns"):
         load_trace_csv(path)
+    # the five-column layout that carried constraint residuals
+    old = tmp_path / "old.csv"
+    old.write_text("iter,loglik,step_norm,alpha_residual,sym_residual\n"
+                   "0,-10.0,0.0,0.0,0.0\n1,-9.0,0.5,1e-16,0.0\n")
+    with pytest.raises(ValidationError, match="has 5 columns") as err:
+        load_trace_csv(old)
+    assert TRACE_HEADER in str(err.value)
 
 
 def test_load_trace_missing_file(tmp_path):
