@@ -225,3 +225,19 @@ def test_gradient_small_step_increases_log_likelihood():
     vec[:2] /= vec[:2].sum()
     stepped = GmmParams.from_vector(vec, 2, 2, symmetrize=True)
     assert log_likelihood(stepped, x) > log_likelihood(p, x)
+
+
+def test_grad_ascent_leaves_stationary_blocks_in_place():
+    # at the single-component optimum a raw gradient step vec + eta * grad
+    # moves only the weight coordinate (its partial is N there; the simplex
+    # constraint is handled by the projected steps, not by this raw step)
+    rng = np.random.default_rng(83)
+    x = make_dataset(rng, 30, 2)
+    p = em_step(GmmParams([1.0], [[0.0, 0.0]], [np.eye(2)]), x)
+    eta = 0.5
+    vec = p.to_vector()
+    out = vec + eta * grad_log_likelihood(p, x)
+    lay = p.layout
+    assert np.allclose(out[lay.mean_block], vec[lay.mean_block], rtol=0, atol=1e-10)
+    assert np.allclose(out[lay.cov_block], vec[lay.cov_block], rtol=0, atol=1e-10)
+    assert out[0] == pytest.approx(1.0 + eta * 30.0, rel=1e-12)
