@@ -15,7 +15,6 @@ from .analysis import (
     empirical_rate,
     lmi_check,
     lmi_matrix,
-    min_feasible_rate,
     rate_bound,
     rate_certificate,
     update_map_jacobian,
@@ -37,7 +36,6 @@ from .dynamics import (
     Preconditioner,
     RunTrace,
     TraceRecord,
-    ZeroSumProjection,
     apply_projection,
     build_preconditioner,
     pb_gem_step,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, GmmParams
-from .dynamics import MeanStepWeights, RunTrace, pb_gem_step, w_pb_gem_step
+from .dynamics import MeanStepWeights, RunTrace, _step_for
 from .errors import GemGmmError, ValidationError
 
 # Negative semidefiniteness is decided by an eigenvalue test with this
@@ -90,9 +90,14 @@ def lmi_check(mu: float, lam: float, bounds: SectorBounds) -> bool:
     return top <= LMI_TOL
 
 
-def _grid_search(bounds: SectorBounds, resolution: float,
-                 lambda_range: tuple[float, float]) -> tuple[float, float] | None:
-    """First (mu, lam) grid point, in ascending mu, passing the LMI."""
+def rate_certificate(bounds: SectorBounds, resolution: float = 1e-3,
+                     lambda_range: tuple[float, float] = (0.5, 5.0)) -> RateCertificate:
+    """Grid search for the smallest mu that some multiplier certifies.
+
+    Scans mu upward over ``[0, 1)`` and takes the first (mu, lam) grid
+    point passing the LMI; infeasible when no grid point does (the
+    bounds lie outside the contractive regime).
+    """
     if not resolution > 0.0:
         raise ValidationError(f"grid resolution must be positive, got {resolution}")
     m, L = bounds.m_lo, bounds.L_hi
@@ -107,25 +112,8 @@ def _grid_search(bounds: SectorBounds, resolution: float,
         top = 0.5 * (a + d) + np.sqrt((0.5 * (a - d)) ** 2 + b * b)
         hits = np.flatnonzero(top <= LMI_TOL)
         if hits.size:
-            return float(mu), float(lams[hits[0]])
-    return None
-
-
-def min_feasible_rate(bounds: SectorBounds, resolution: float = 1e-3,
-                      lambda_range: tuple[float, float] = (0.5, 5.0)) -> float | None:
-    """Smallest grid mu certified by some grid lam, or None if no grid
-    point is feasible (the bounds lie outside the contractive regime)."""
-    found = _grid_search(bounds, resolution, lambda_range)
-    return None if found is None else found[0]
-
-
-def rate_certificate(bounds: SectorBounds, resolution: float = 1e-3,
-                     lambda_range: tuple[float, float] = (0.5, 5.0)) -> RateCertificate:
-    """Run the grid search and package the result."""
-    found = _grid_search(bounds, resolution, lambda_range)
-    if found is None:
-        return RateCertificate(math.nan, math.nan, False)
-    return RateCertificate(found[0], found[1], True)
+            return RateCertificate(float(mu), float(lams[hits[0]]), True)
+    return RateCertificate(math.nan, math.nan, False)
 
 
 def _probe_directions(layout) -> list[np.ndarray]:
@@ -166,10 +154,10 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
                         design: MeanStepWeights | None = None) -> JacobianReport:
     """Central finite-difference Jacobian of an update map at ``params``.
 
-    ``algorithm`` is ``"pb_gem"``, ``"w_pb_gem"`` (with ``design``), or a
-    callable ``(params, data) -> GmmParams`` for custom maps, which gets
-    the validated samples as an (N, m) array.  ``data`` is checked once
-    for all probes.  Columns
+    ``algorithm`` is one of :data:`~gemgmm.dynamics.ALGORITHMS`
+    (``"w_pb_gem"`` with ``design``), or a callable ``(params, data) ->
+    GmmParams`` for custom maps, which gets the validated samples as an
+    (N, m) array.  ``data`` is checked once for all probes.  Columns
     follow the flat layout; probes along constrained coordinates stay on
     the constraint set (see :func:`_probe_directions`), so directions
     orthogonal to it contribute zero columns (for K=1 the weight
@@ -179,18 +167,11 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
     """
     if not fd_step > 0.0:
         raise ValidationError(f"fd_step must be positive, got {fd_step}")
-    samples = Dataset(data, params.n_features)
     if callable(algorithm):
-        step = lambda p: algorithm(p, samples.x)
-    elif algorithm == "pb_gem":
-        step = lambda p: pb_gem_step(p, samples)
-    elif algorithm == "w_pb_gem":
-        if design is None:
-            raise ValidationError("w_pb_gem requires a MeanStepWeights design")
-        step = lambda p: w_pb_gem_step(p, samples, design)
+        step = lambda p, d: algorithm(p, d.x)
     else:
-        raise ValidationError(
-            f"jacobian analysis supports 'pb_gem', 'w_pb_gem', or a callable, got {algorithm!r}")
+        step = _step_for(algorithm, design)
+    samples = Dataset(data, params.n_features)
     layout = params.layout
     base = params.to_vector()
     k, m = layout.n_components, layout.n_features
@@ -200,8 +181,8 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
             jac[:, idx] = 0.0
             continue
         try:
-            plus = step(GmmParams.from_vector(base + fd_step * direction, k, m)).to_vector()
-            minus = step(GmmParams.from_vector(base - fd_step * direction, k, m)).to_vector()
+            plus = step(GmmParams.from_vector(base + fd_step * direction, k, m), samples).to_vector()
+            minus = step(GmmParams.from_vector(base - fd_step * direction, k, m), samples).to_vector()
         except GemGmmError as err:
             raise type(err)(f"update step failed at perturbation {idx}: {err}") from err
         jac[:, idx] = (plus - minus) / (2.0 * fd_step)

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="run one algorithm on a dataset")
     common(fit)
     fit.add_argument("--dataset", metavar="PATH", help="dataset CSV")
-    fit.add_argument("--algo", choices=_ALGO_CHOICES)
+    fit.add_argument("--algo", dest="algorithm", choices=_ALGO_CHOICES)
     fit.add_argument("--beta", type=_parse_beta, metavar="B1,B2,...",
                      help="per-component mean step factors (w-pb-gem)")
     fit.add_argument("--tol", type=float, metavar="FLOAT",
@@ -92,14 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fitted parameters to analyze")
     ana.add_argument("--dataset", metavar="PATH")
     ana.add_argument("--trace", metavar="PATH", help="trace CSV for the empirical rate")
-    ana.add_argument("--algo", choices=_ALGO_CHOICES)
+    ana.add_argument("--algo", dest="algorithm", choices=_ALGO_CHOICES)
     ana.add_argument("--beta", type=_parse_beta, metavar="B1,B2,...")
     return ap
 
 
-# Flags whose value overrides the config field of the same name.
-_OVERRIDE_FIELDS = ("seed", "out", "dataset", "beta", "tol", "max_iters", "plot",
-                    "inset", "instances", "trace", "params_file")
+# Flags whose value overrides the config field of the same name
+# (``--algo`` sets ``algorithm``).
+_OVERRIDE_FIELDS = ("seed", "out", "dataset", "algorithm", "beta", "tol", "max_iters",
+                    "plot", "inset", "instances", "trace", "params_file")
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -112,9 +113,6 @@ def _build_config(args) -> ExperimentConfig:
         value = getattr(args, field, None)
         if value is not None:
             mapping[field] = value
-    algo = getattr(args, "algo", None)
-    if algo is not None:
-        mapping["algorithm"] = algo.replace("-", "_")
     return ExperimentConfig.from_mapping(mapping)
 
 

@@ -139,18 +139,9 @@ class GmmParams:
         return self.layout.join(self.weights, self.means, self.covs)
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray, n_components: int, n_features: int,
-                    symmetrize: bool = False) -> "GmmParams":
-        """Rebuild validated parameters from a flat vector.
-
-        With ``symmetrize=True`` each covariance block is replaced by
-        ``(C + C.T) / 2`` before validation; preconditioned vector-space
-        updates can break symmetry at roundoff level.
-        """
-        w, mu, cv = VectorLayout(n_components, n_features).split(np.asarray(vec, dtype=float))
-        if symmetrize:
-            cv = 0.5 * (cv + cv.transpose(0, 2, 1))
-        return cls(w, mu, cv)
+    def from_vector(cls, vec: np.ndarray, n_components: int, n_features: int) -> "GmmParams":
+        """Rebuild validated parameters from a flat vector."""
+        return cls(*VectorLayout(n_components, n_features).split(np.asarray(vec, dtype=float)))
 
 
 @dataclass(frozen=True)

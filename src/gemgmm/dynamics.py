@@ -27,16 +27,20 @@ shifted-covariance EM increment,
     flatten(shifted_em_step(p)) - flatten(p) = P(p) . grad(p),
 
 is kept as :class:`Preconditioner`, :func:`build_preconditioner` and
-:func:`apply_projection`.  These are identities checked by the tests and
-used by analysis code; they are not on the iteration path.
+:func:`apply_projection`.  These are identities checked by the tests;
+they are not on the iteration path.
+
+:func:`_step_for` is the one place that turns an algorithm name (and a
+design, for ``w_pb_gem``) into its step; :func:`run` and
+:func:`~gemgmm.analysis.update_map_jacobian` both go through it.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -69,8 +73,8 @@ class Preconditioner:
     - mean block j: ``C_j / S_j`` -- symmetric PD;
     - covariance block j: ``2 (C_j (x) C_j) / S_j`` (Kronecker product)
       -- symmetric PD, applied structurally via
-      ``(C (x) C) vec(V) = vec(C V C)`` so the m^2 x m^2 blocks are only
-      materialized on demand for analysis.
+      ``(C (x) C) vec(V) = vec(C V C)`` so the m^2 x m^2 blocks are never
+      materialized.
     """
 
     p_weights: np.ndarray
@@ -83,10 +87,6 @@ class Preconditioner:
         """(K, m, m) mean blocks ``C_j / S_j``."""
         return self.covs / self.counts[:, None, None]
 
-    def p_cov(self, j: int) -> np.ndarray:
-        """Dense m^2 x m^2 covariance block for component ``j``."""
-        return 2.0 * np.kron(self.covs[j], self.covs[j]) / self.counts[j]
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Matrix-vector product with the full preconditioner, block-wise."""
         w, mu, cv = self.layout.split(vec)
@@ -96,19 +96,6 @@ class Preconditioner:
         for j in range(self.layout.n_components):
             out_cv[j] = 2.0 * (self.covs[j] @ cv[j] @ self.covs[j]) / self.counts[j]
         return self.layout.join(out_w, out_mu, out_cv)
-
-    @cached_property
-    def assembled(self) -> np.ndarray:
-        """Full dense matrix; only needed by analysis code."""
-        lay = self.layout
-        full = np.zeros((lay.size, lay.size))
-        full[lay.weight_block, lay.weight_block] = self.p_weights
-        for j in range(lay.n_components):
-            s = lay.mean_slice(j)
-            full[s, s] = self.p_means[j]
-            s = lay.cov_slice(j)
-            full[s, s] = self.p_cov(j)
-        return full
 
 
 def build_preconditioner(params: GmmParams, data,
@@ -122,48 +109,27 @@ def build_preconditioner(params: GmmParams, data,
     return Preconditioner(p_weights, params.covs, counts, params.layout)
 
 
-@dataclass(frozen=True)
-class ZeroSumProjection:
-    """Orthogonal projector onto feasible increment directions.
+def apply_projection(vec: np.ndarray, layout: VectorLayout) -> np.ndarray:
+    """Orthogonal projection onto feasible increment directions.
 
     Identity on mean and covariance blocks; the weight block is centered
     (``v - mean(v)``), i.e. projected onto the zero-sum subspace, so that
     updated weights keep their sum unchanged.
     """
-
-    layout: VectorLayout
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.layout.size,):
-            raise ValidationError(
-                f"expected vector of shape ({self.layout.size},), got {vec.shape}")
-        out = vec.copy()
-        wb = self.layout.weight_block
-        out[wb] -= out[wb].mean()
-        return out
-
-    def as_matrix(self) -> np.ndarray:
-        """Dense form (for operator-level tests): symmetric, idempotent."""
-        k = self.layout.n_components
-        full = np.eye(self.layout.size)
-        full[self.layout.weight_block, self.layout.weight_block] = (
-            np.eye(k) - np.full((k, k), 1.0 / k))
-        return full
-
-
-def apply_projection(vec: np.ndarray, layout: VectorLayout) -> np.ndarray:
-    """Center the weight block of ``vec``; leave the rest unchanged."""
-    return ZeroSumProjection(layout).apply(vec)
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (layout.size,):
+        raise ValidationError(f"expected vector of shape ({layout.size},), got {vec.shape}")
+    out = vec.copy()
+    wb = layout.weight_block
+    out[wb] -= out[wb].mean()
+    return out
 
 
 @dataclass(frozen=True)
 class MeanStepWeights:
-    """Per-component scale factors for the mean increments.
-
-    Expands to a diagonal matrix that is identity on the weight and
-    covariance blocks and ``beta_j`` on each coordinate of mean block j.
-    """
+    """Per-component scale factors for the mean increments: the mean
+    increment of component j is multiplied by ``beta_j``, the weight and
+    covariance increments are left as they are."""
 
     betas: np.ndarray
 
@@ -172,15 +138,6 @@ class MeanStepWeights:
         if b.ndim != 1 or b.size < 1 or not np.all(np.isfinite(b)) or np.any(b <= 0.0):
             raise ValidationError(f"betas must be a vector of positive reals, got {self.betas}")
         object.__setattr__(self, "betas", b)
-
-    def diagonal(self, layout: VectorLayout) -> np.ndarray:
-        if self.betas.size != layout.n_components:
-            raise ValidationError(
-                f"need one beta per component ({layout.n_components}), got {self.betas.size}")
-        d = np.ones(layout.size)
-        for j in range(layout.n_components):
-            d[layout.mean_slice(j)] = self.betas[j]
-        return d
 
 
 def _gem_step(params: GmmParams, data, resp: np.ndarray | None,
@@ -220,6 +177,27 @@ def w_pb_gem_step(params: GmmParams, data, design: MeanStepWeights,
         raise ValidationError(
             f"need one beta per component ({params.n_components}), got {design.betas.size}")
     return _gem_step(params, data, resp, betas=design.betas)
+
+
+def _step_for(algorithm: str,
+              design: MeanStepWeights | None) -> Callable[..., GmmParams]:
+    """The step that ``algorithm`` names, as ``(params, data, resp=None)
+    -> GmmParams``.
+
+    The only place that checks the name against :data:`ALGORITHMS` and
+    that a design is given exactly when the algorithm is ``w_pb_gem``.
+    Steps are looked up in this module when this is called, so a step
+    rebound here (by a tracer, say) is the one that runs.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    if algorithm == "w_pb_gem":
+        if design is None:
+            raise ValidationError("w_pb_gem requires a MeanStepWeights design")
+        return lambda p, d, resp=None: w_pb_gem_step(p, d, design, resp=resp)
+    if design is not None:
+        raise ValidationError(f"algorithm {algorithm!r} takes no design")
+    return {"em": em_step, "shifted_em": shifted_em_step, "pb_gem": pb_gem_step}[algorithm]
 
 
 @dataclass(frozen=True)
@@ -273,28 +251,13 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
     Numerical failures raise :class:`StepFailure` carrying the partial
     trace and the failing iteration index.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValidationError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    if algorithm == "w_pb_gem":
-        if design is None:
-            raise ValidationError("w_pb_gem requires a MeanStepWeights design")
-    elif design is not None:
-        raise ValidationError(f"algorithm {algorithm!r} takes no design")
+    step_fn = _step_for(algorithm, design)
     if not rel_ll_tol > 0.0:
         raise ValidationError(f"rel_ll_tol must be positive, got {rel_ll_tol}")
     if max_iters < 1:
         raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
 
     samples = Dataset(data, params.n_features)
-    if algorithm == "em":
-        step_fn = em_step
-    elif algorithm == "shifted_em":
-        step_fn = shifted_em_step
-    elif algorithm == "pb_gem":
-        step_fn = pb_gem_step
-    else:
-        step_fn = lambda p, d, resp: w_pb_gem_step(p, d, design, resp=resp)
-
     stride = snapshot_stride
     if stride is None:
         stride = 1 if params.layout.size <= SNAPSHOT_STRIDE_CUTOFF else 10

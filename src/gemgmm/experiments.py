@@ -277,6 +277,11 @@ def cmd_replicate(config: ExperimentConfig) -> dict:
         raise ValidationError(f"replicate needs at least 2 instances, got {config.instances}")
     if config.true_model is None:
         raise ValidationError("replicate requires a true model (config key 'true_model')")
+    last_seed = config.seed + (config.instances - 1) * config.seed_stride
+    if config.seed < 0 or last_seed < 0:
+        raise ValidationError(
+            f"replicate seeds must be non-negative: seed {config.seed} with stride "
+            f"{config.seed_stride} over {config.instances} instances reaches {last_seed}")
     truth = _resolve_params(config.true_model)
     design = _design_for(config, truth.n_components)
     traces: dict[str, list[RunTrace]] = {"pb_gem": [], "w_pb_gem": []}

@@ -97,6 +97,12 @@ def fd_loglik_gradient(params, x, step=1e-6):
     return grad
 
 
+def dense(op, size):
+    """Matrix of the linear map ``op`` on R^size, one column per
+    standard basis vector."""
+    return np.column_stack([op(e) for e in np.eye(size)])
+
+
 def align_means(means, target):
     """Max per-coordinate error of ``means`` against ``target`` up to
     swapping the two rows."""

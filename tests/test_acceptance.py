@@ -25,10 +25,10 @@ from gemgmm import (
     build_preconditioner,
     grad_log_likelihood,
     lmi_check,
-    min_feasible_rate,
     pb_gem_step,
     q_function,
     rate_bound,
+    rate_certificate,
     run,
     sample,
     shifted_em_step,
@@ -215,9 +215,10 @@ def test_rate_bound_grid_consistency():
     for m_lo in np.arange(0.1, 0.95, 0.1):
         for L_hi in np.arange(1.0, 1.95, 0.1):
             bounds = SectorBounds(float(m_lo), float(L_hi))
-            got = min_feasible_rate(bounds, resolution=1e-3)
+            cert = rate_certificate(bounds, resolution=1e-3)
             expected = rate_bound(bounds)
-            assert got is not None, (m_lo, L_hi)
+            assert cert.feasible, (m_lo, L_hi)
+            got = cert.mu_bound
             assert -1e-9 <= got - expected <= 1e-3 + 1e-9, (m_lo, L_hi, got, expected)
             for mu in (0.0, 0.5, 0.9, 0.99):
                 assert not lmi_check(mu, 0.4, bounds), (m_lo, L_hi, mu)

@@ -13,7 +13,6 @@ from gemgmm import (
     empirical_rate,
     lmi_check,
     lmi_matrix,
-    min_feasible_rate,
     rate_bound,
     rate_certificate,
     run,
@@ -92,23 +91,26 @@ def test_lmi_monotone_in_mu(m_lo, L_hi):
 
 # ------------------------------------------------------------- grid search
 
+# The minimum feasible rate is the certificate's mu_bound: the smallest
+# grid mu that some grid multiplier certifies.
+
 def test_min_feasible_rate_at_unit_bounds_is_zero():
-    assert min_feasible_rate(SectorBounds(1.0, 1.0)) == 0.0
+    assert rate_certificate(SectorBounds(1.0, 1.0)).mu_bound == 0.0
 
 
 def test_min_feasible_rate_matches_closed_form():
-    got = min_feasible_rate(SectorBounds(0.5, 1.5))
+    got = rate_certificate(SectorBounds(0.5, 1.5)).mu_bound
     assert got == pytest.approx(0.5, abs=1e-3 + 1e-9)
 
 
 def test_min_feasible_rate_infeasible_outside_contractive_regime():
     # |1 - L| = 1.5 means no mu < 1 can be certified
-    assert min_feasible_rate(SectorBounds(0.1, 2.5)) is None
+    assert not rate_certificate(SectorBounds(0.1, 2.5)).feasible
 
 
 def test_min_feasible_rate_rejects_bad_resolution():
     with pytest.raises(ValidationError):
-        min_feasible_rate(SectorBounds(0.5, 1.5), resolution=0.0)
+        rate_certificate(SectorBounds(0.5, 1.5), resolution=0.0)
 
 
 def test_rate_certificate_feasible_packaging():
@@ -129,9 +131,10 @@ def test_rate_certificate_infeasible_packaging():
 @pytest.mark.parametrize("m_lo", [0.2, 0.5, 0.8])
 @pytest.mark.parametrize("L_hi", [1.0, 1.4, 1.8])
 def test_grid_rate_within_one_cell_of_closed_form(m_lo, L_hi):
-    got = min_feasible_rate(SectorBounds(m_lo, L_hi))
+    cert = rate_certificate(SectorBounds(m_lo, L_hi))
     expected = rate_bound(SectorBounds(m_lo, L_hi))
-    assert got is not None
+    assert cert.feasible
+    got = cert.mu_bound
     assert -1e-9 <= got - expected <= 1e-3 + 1e-9
 
 
@@ -190,19 +193,20 @@ def test_halfway_map_classifies_mixed():
     base = p.to_vector()
 
     def halfway(q, d):
-        vec = base + 0.5 * (q.to_vector() - base)
-        return GmmParams.from_vector(vec, 2, 1, symmetrize=True)
+        w, mu, cv = q.layout.split(base + 0.5 * (q.to_vector() - base))
+        return GmmParams(w, mu, 0.5 * (cv + cv.transpose(0, 2, 1)))
 
     rep = update_map_jacobian(p, x, halfway)
     assert rep.moduli[0] == pytest.approx(0.5, abs=1e-8)
     assert rep.classification == "mixed"
 
 
-def test_single_gaussian_fixed_point_is_newton_like():
+@pytest.mark.parametrize("algorithm", ["em", "pb_gem"])
+def test_single_gaussian_fixed_point_is_newton_like(algorithm):
     rng = np.random.default_rng(223)
     x = rng.normal(1.0, 2.0, size=(60, 1))
     p = em_step(GmmParams([1.0], [[0.0]], [np.eye(1)]), x)
-    rep = update_map_jacobian(p, x, "pb_gem")
+    rep = update_map_jacobian(p, x, algorithm)
     # the weight direction is trivial for K=1: the probe is identically zero
     assert np.array_equal(rep.jacobian[:, 0], np.zeros(3))
     assert rep.classification == "newton_like"
@@ -253,11 +257,13 @@ def test_jacobian_argument_validation():
     p = GmmParams([1.0], [[0.0]], [np.eye(1)])
     x = [[0.0], [1.0]]
     with pytest.raises(ValidationError):
-        update_map_jacobian(p, x, "em")
+        update_map_jacobian(p, x, "newton")
     with pytest.raises(ValidationError):
         update_map_jacobian(p, x, "pb_gem", fd_step=0.0)
     with pytest.raises(ValidationError):
         update_map_jacobian(p, x, "w_pb_gem")
+    with pytest.raises(ValidationError):
+        update_map_jacobian(p, x, "pb_gem", design=MeanStepWeights([1.0]))
 
 
 def test_jacobian_probe_failure_reports_perturbation_index():

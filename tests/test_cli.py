@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gemgmm
-from gemgmm import GmmParams, ValidationError
+from gemgmm import GmmParams, ValidationError, experiments
 from gemgmm.cli import main
 from gemgmm.experiments import ExperimentConfig, orthogonal_line_init
 from gemgmm.io import load_dataset, load_params, load_trace_csv
@@ -329,12 +329,22 @@ def test_replicate_aggregate_row_count_padding(tmp_path):
     assert len(lines) - 3 == longest + 1
 
 
-def test_replicate_rejects_negative_seed_stride(tmp_path):
+def test_replicate_rejects_negative_seed_stride(tmp_path, monkeypatch):
+    # the seeds are checked before any fit: instance 0 (seed 0) is not run
+    fits = []
+    original = experiments.run
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", counted)
     cfg = write_config(tmp_path / "rep.json", true_model=TRUE_MODEL,
                        n_samples=60, init=ORTHO_INIT, instances=2,
                        seed_stride=-1, tol=1e-8, max_iters=800,
                        out=str(tmp_path / "rep"))
     assert main(["replicate", "--config", cfg]) == 2
+    assert len(fits) == 0
 
 
 def test_replicate_requires_two_instances(tmp_path):
@@ -376,6 +386,17 @@ def test_analyze_jacobian_and_trace(tmp_path):
     assert len(report["jacobian"]["moduli"]) == 14
     rate = report["empirical_rate"]
     assert rate is None or 0.0 < rate < 1.0
+
+
+def test_analyze_em_jacobian(tmp_path):
+    # EM's update-map Jacobian is its rate matrix; analyze accepts every algorithm
+    dataset = make_dataset_file(tmp_path, n=120)
+    cfg = write_config(tmp_path / "a.json", out=str(tmp_path / "a"))
+    assert main(["analyze", "--config", cfg, str(tmp_path / "gen" / "truth.json"),
+                 "--dataset", dataset, "--algo", "em"]) == 0
+    report = json.loads((tmp_path / "a" / "analysis.json").read_text())
+    assert report["jacobian"]["algorithm"] == "em"
+    assert len(report["jacobian"]["moduli"]) == 14
 
 
 def test_analyze_rejects_bad_sector(tmp_path):

@@ -150,7 +150,10 @@ def test_from_vector_symmetrize_repairs_roundoff():
     vec[p.layout.cov_slice(0).start + 1] += 1e-9  # perturb one off-diagonal
     with pytest.raises(InvalidCovarianceError):
         GmmParams.from_vector(vec, 2, 2)
-    fixed = GmmParams.from_vector(vec, 2, 2, symmetrize=True)
+    # the caller repairs it: symmetrize the covariance blocks, then rebuild
+    w, mu, cv = p.layout.split(vec)
+    vec = p.layout.join(w, mu, 0.5 * (cv + cv.transpose(0, 2, 1)))
+    fixed = GmmParams.from_vector(vec, 2, 2)
     assert np.array_equal(fixed.covs[0], fixed.covs[0].T)
 
 

@@ -8,7 +8,6 @@ from gemgmm import (
     StepFailure,
     ValidationError,
     VectorLayout,
-    ZeroSumProjection,
     apply_projection,
     build_preconditioner,
     em_step,
@@ -24,7 +23,7 @@ from gemgmm import core
 from gemgmm.dynamics import ALGORITHMS
 from gemgmm.errors import DegenerateComponentError
 
-from conftest import make_dataset, make_params
+from conftest import dense, make_dataset, make_params
 
 
 # ------------------------------------------------------------ preconditioner
@@ -43,7 +42,7 @@ def test_scalar_blocks_hand_evaluated():
     pre = build_preconditioner(p, [[0.1], [-0.2], [0.3], [0.4]])
     assert pre.counts[0] == pytest.approx(4.0, abs=0)
     assert pre.p_means[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
-    assert pre.p_cov(0)[0, 0] == pytest.approx(2.0, abs=1e-15)
+    assert dense(pre.apply, p.layout.size)[-1, -1] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_weight_block_rows_sum_to_zero():
@@ -61,9 +60,11 @@ def test_mean_and_cov_blocks_positive_definite():
     p = make_params(rng, 2, 3)
     x = make_dataset(rng, 25, 3)
     pre = build_preconditioner(p, x)
+    full = dense(pre.apply, p.layout.size)
     for j in range(2):
         assert np.all(np.linalg.eigvalsh(pre.p_means[j]) > 0)
-        pc = pre.p_cov(j)
+        s = p.layout.cov_slice(j)
+        pc = full[s, s]
         assert np.allclose(pc, pc.T, rtol=0, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(pc) > 0)
 
@@ -73,7 +74,14 @@ def test_structural_apply_matches_assembled_matrix():
     p = make_params(rng, 2, 2)
     x = make_dataset(rng, 15, 2)
     pre = build_preconditioner(p, x)
-    full = pre.assembled
+    # the block formulas: weights, C_j / S_j, 2 (C_j (x) C_j) / S_j
+    lay = p.layout
+    full = np.zeros((lay.size, lay.size))
+    full[lay.weight_block, lay.weight_block] = pre.p_weights
+    for j in range(2):
+        c, s_j = pre.covs[j], pre.counts[j]
+        full[lay.mean_slice(j), lay.mean_slice(j)] = c / s_j
+        full[lay.cov_slice(j), lay.cov_slice(j)] = 2.0 * np.kron(c, c) / s_j
     assert np.allclose(full, full.T, rtol=0, atol=1e-12)
     for seed in range(3):
         v = np.random.default_rng(seed).normal(size=p.layout.size)
@@ -90,8 +98,9 @@ def test_cov_block_kronecker_identity():
     vec = p.layout.join(np.zeros(1), np.zeros((1, 3)), v[None])
     out = pre.apply(vec)
     _, _, out_cv = p.layout.split(out)
-    dense = pre.p_cov(0) @ v.T.reshape(-1)  # column-stacked vec(V)
-    assert np.allclose(out_cv[0].T.reshape(-1), dense, rtol=1e-12, atol=1e-12)
+    c = pre.covs[0]
+    kron = 2.0 * np.kron(c, c) / pre.counts[0] @ v.T.reshape(-1)  # column-stacked vec(V)
+    assert np.allclose(out_cv[0].T.reshape(-1), kron, rtol=1e-12, atol=1e-12)
 
 
 def test_preconditioner_rejects_starved_component():
@@ -133,14 +142,12 @@ def test_projection_idempotent():
 
 def test_projection_matrix_symmetric_idempotent():
     lay = VectorLayout(3, 2)
-    mat = ZeroSumProjection(lay).as_matrix()
+    mat = dense(lambda v: apply_projection(v, lay), lay.size)
+    expected = np.eye(lay.size)
+    expected[lay.weight_block, lay.weight_block] = np.eye(3) - np.full((3, 3), 1.0 / 3.0)
+    assert np.allclose(mat, expected, rtol=0, atol=1e-15)
     assert np.array_equal(mat, mat.T)
     assert np.allclose(mat @ mat, mat, rtol=0, atol=1e-12)
-    # action agrees with the structural form on every canonical basis vector
-    for i in range(lay.size):
-        e = np.zeros(lay.size)
-        e[i] = 1.0
-        assert np.allclose(mat @ e, apply_projection(e, lay), rtol=0, atol=1e-15)
 
 
 def test_projection_rejects_wrong_length():
@@ -236,15 +243,6 @@ def test_design_validation():
     p = make_params(rng, 2, 1)
     with pytest.raises(ValidationError):
         w_pb_gem_step(p, make_dataset(rng, 10, 1), MeanStepWeights([0.9]))
-
-
-def test_design_diagonal_layout():
-    lay = VectorLayout(2, 2)
-    d = MeanStepWeights([0.3, 0.7]).diagonal(lay)
-    assert d[lay.weight_block].tolist() == [1.0, 1.0]
-    assert d[lay.mean_slice(0)].tolist() == [0.3, 0.3]
-    assert d[lay.mean_slice(1)].tolist() == [0.7, 0.7]
-    assert np.all(d[lay.cov_block] == 1.0)
 
 
 # ----------------------------------------------------------------- run loop

@@ -223,7 +223,8 @@ def test_gradient_small_step_increases_log_likelihood():
     vec = p.to_vector() + 1e-6 * grad_log_likelihood(p, x)
     # renormalizing the weights keeps the comparison on the simplex
     vec[:2] /= vec[:2].sum()
-    stepped = GmmParams.from_vector(vec, 2, 2, symmetrize=True)
+    w, mu, cv = p.layout.split(vec)
+    stepped = GmmParams(w, mu, 0.5 * (cv + cv.transpose(0, 2, 1)))
     assert log_likelihood(stepped, x) > log_likelihood(p, x)
 
 
