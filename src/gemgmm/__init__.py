@@ -52,6 +52,7 @@ from .errors import (
     DegenerateComponentError,
     GemGmmError,
     InvalidCovarianceError,
+    NumericalError,
     NumericUnderflowError,
     SimplexViolationError,
     StepFailure,

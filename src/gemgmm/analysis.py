@@ -90,19 +90,18 @@ def lmi_check(mu: float, lam: float, bounds: SectorBounds) -> bool:
     return top <= LMI_TOL
 
 
-def rate_certificate(bounds: SectorBounds, resolution: float = 1e-3,
-                     lambda_range: tuple[float, float] = (0.5, 5.0)) -> RateCertificate:
+def rate_certificate(bounds: SectorBounds, resolution: float = 1e-3) -> RateCertificate:
     """Grid search for the smallest mu that some multiplier certifies.
 
     Scans mu upward over ``[0, 1)`` and takes the first (mu, lam) grid
-    point passing the LMI; infeasible when no grid point does (the
-    bounds lie outside the contractive regime).
+    point passing the LMI, with lam over ``[0.5, 5]``; infeasible when
+    no grid point does (the bounds lie outside the contractive regime).
     """
     if not resolution > 0.0:
         raise ValidationError(f"grid resolution must be positive, got {resolution}")
     m, L = bounds.m_lo, bounds.L_hi
     mus = np.arange(0.0, 1.0, resolution)
-    lams = np.arange(lambda_range[0], lambda_range[1] + 0.5 * resolution, resolution)
+    lams = np.arange(0.5, 5.0 + 0.5 * resolution, resolution)
     # Batched top eigenvalue of [[a, b], [b, d]] across the lambda grid.
     b = lams * (L + m) - 1.0
     d = 1.0 - 2.0 * lams
@@ -157,20 +156,17 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
     ``algorithm`` is one of :data:`~gemgmm.dynamics.ALGORITHMS`
     (``"w_pb_gem"`` with ``design``), or a callable ``(params, data) ->
     GmmParams`` for custom maps, which gets the validated samples as an
-    (N, m) array.  ``data`` is checked once for all probes.  Columns
-    follow the flat layout; probes along constrained coordinates stay on
-    the constraint set (see :func:`_probe_directions`), so directions
-    orthogonal to it contribute zero columns (for K=1 the weight
-    direction is trivial).  Eigenvalue moduli near 0 mean the map forgets
-    its input like a Newton step; moduli near 1 mean first-order
-    behavior.
+    (N, m) array and takes no design.  ``data`` is checked once for all
+    probes.  Columns follow the flat layout; probes along constrained
+    coordinates stay on the constraint set (see
+    :func:`_probe_directions`), so directions orthogonal to it contribute
+    zero columns (for K=1 the weight direction is trivial).  Eigenvalue
+    moduli near 0 mean the map forgets its input like a Newton step;
+    moduli near 1 mean first-order behavior.
     """
     if not fd_step > 0.0:
         raise ValidationError(f"fd_step must be positive, got {fd_step}")
-    if callable(algorithm):
-        step = lambda p, d: algorithm(p, d.x)
-    else:
-        step = _step_for(algorithm, design)
+    step = _step_for(algorithm, design)
     samples = Dataset(data, params.n_features)
     layout = params.layout
     base = params.to_vector()

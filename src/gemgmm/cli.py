@@ -1,11 +1,14 @@
 """Command-line interface.
 
-Subcommands: generate, fit, replicate, analyze.  Every flag overrides
-the matching field of the JSON config given with --config.
+Subcommands: generate, fit, replicate, analyze.  Every flag stores into
+the config field of its ``dest`` and overrides that field of the JSON
+config given with --config.  ``--algo`` takes the names in
+:data:`~gemgmm.dynamics.ALGORITHMS`, hyphenated.
 
 Exit codes: 0 success; 2 configuration or validation problem; 3
-numerical failure (degenerate component, constraint violation,
-underflow); 4 the fit hit max_iters without converging.
+numerical failure (any :class:`~gemgmm.errors.NumericalError`:
+degenerate component, constraint violation, underflow); 4 the fit hit
+max_iters without converging.
 """
 
 from __future__ import annotations
@@ -13,14 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    DegenerateComponentError,
-    InvalidCovarianceError,
-    NumericUnderflowError,
-    SimplexViolationError,
-    StepFailure,
-    ValidationError,
-)
+from .dynamics import ALGORITHMS
+from .errors import NumericalError, ValidationError
 from .experiments import ExperimentConfig, cmd_analyze, cmd_fit, cmd_generate, cmd_replicate
 from .io import load_json
 
@@ -29,7 +26,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NO_CONVERGENCE = 4
 
-_ALGO_CHOICES = ("em", "shifted-em", "pb-gem", "w-pb-gem")
+_ALGO_CHOICES = tuple(a.replace("_", "-") for a in ALGORITHMS)
 
 
 def _parse_beta(text: str) -> list[float]:
@@ -97,21 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Flags whose value overrides the config field of the same name
-# (``--algo`` sets ``algorithm``).
-_OVERRIDE_FIELDS = ("seed", "out", "dataset", "algorithm", "beta", "tol", "max_iters",
-                    "plot", "inset", "instances", "trace", "params_file")
-
-
 def _build_config(args) -> ExperimentConfig:
     mapping = {}
     if args.config is not None:
         mapping = load_json(args.config)
         if not isinstance(mapping, dict):
             raise ValidationError(f"config {args.config} must hold a JSON object")
-    for field in _OVERRIDE_FIELDS:
-        value = getattr(args, field, None)
-        if value is not None:
+    for field, value in vars(args).items():
+        if field not in ("command", "config") and value is not None:
             mapping[field] = value
     return ExperimentConfig.from_mapping(mapping)
 
@@ -145,8 +135,7 @@ def main(argv=None) -> int:
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimplexViolationError, InvalidCovarianceError, DegenerateComponentError,
-            NumericUnderflowError, StepFailure) as err:
+    except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as err:

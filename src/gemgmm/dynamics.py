@@ -14,8 +14,8 @@ with ``beta_j = 1`` for :func:`pb_gem_step` and the design's factors for
 scan, and makes one log-density pass per iteration: the pass that
 scores the new iterate also yields the responsibilities that the next
 step consumes.  The loop keeps only the current iterate, its
-log-likelihood and its responsibilities; the flat vector is built on
-snapshot iterations only.
+log-likelihood and its responsibilities; the flat vector is built only
+when ``snapshot_stride`` asks for it (by default, never).
 
 The same step written as a projected preconditioned gradient step,
 
@@ -31,7 +31,7 @@ is kept as :class:`Preconditioner`, :func:`build_preconditioner` and
 they are not on the iteration path.
 
 :func:`_step_for` is the one place that turns an algorithm name (and a
-design, for ``w_pb_gem``) into its step; :func:`run` and
+design, for ``w_pb_gem``) or a custom map into its step; :func:`run` and
 :func:`~gemgmm.analysis.update_map_jacobian` both go through it.
 """
 
@@ -46,20 +46,9 @@ import numpy as np
 
 from .core import Dataset, GmmParams, VectorLayout, _estep
 from .engine import _e_inputs, _m_step, em_step, shifted_em_step, soft_counts
-from .errors import (
-    DegenerateComponentError,
-    InvalidCovarianceError,
-    NumericUnderflowError,
-    SimplexViolationError,
-    StepFailure,
-    ValidationError,
-)
+from .errors import NumericalError, StepFailure, ValidationError
 
 ALGORITHMS = ("em", "shifted_em", "pb_gem", "w_pb_gem")
-
-# Traces keep a parameter snapshot every iteration while the parameter
-# count stays small, every 10th beyond that.
-SNAPSHOT_STRIDE_CUTOFF = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,16 +168,22 @@ def w_pb_gem_step(params: GmmParams, data, design: MeanStepWeights,
     return _gem_step(params, data, resp, betas=design.betas)
 
 
-def _step_for(algorithm: str,
+def _step_for(algorithm: str | Callable[..., GmmParams],
               design: MeanStepWeights | None) -> Callable[..., GmmParams]:
     """The step that ``algorithm`` names, as ``(params, data, resp=None)
     -> GmmParams``.
 
-    The only place that checks the name against :data:`ALGORITHMS` and
-    that a design is given exactly when the algorithm is ``w_pb_gem``.
-    Steps are looked up in this module when this is called, so a step
-    rebound here (by a tracer, say) is the one that runs.
+    ``algorithm`` is a name in :data:`ALGORITHMS` or a custom map
+    ``(params, samples) -> GmmParams``, which gets the samples as an
+    (N, m) array.  The only place that checks the name and that a design
+    is given exactly when the algorithm is ``w_pb_gem``.  Steps are
+    looked up in this module when this is called, so a step rebound here
+    (by a tracer, say) is the one that runs.
     """
+    if callable(algorithm):
+        if design is not None:
+            raise ValidationError("a custom update map takes no design")
+        return lambda p, d, resp=None: algorithm(p, d.x)
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if algorithm == "w_pb_gem":
@@ -248,36 +243,36 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
     """Iterate one of the update maps until the relative change of the
     log-likelihood drops below ``rel_ll_tol`` or ``max_iters`` is hit.
 
-    Numerical failures raise :class:`StepFailure` carrying the partial
-    trace and the failing iteration index.
+    Records of iterations that are multiples of ``snapshot_stride``
+    (iteration 0 included) carry the flat iterate; with the default None
+    no record does.  A :class:`~gemgmm.errors.NumericalError` in a step
+    is raised as :class:`StepFailure`, carrying the partial trace and the
+    failing iteration index.
     """
     step_fn = _step_for(algorithm, design)
     if not rel_ll_tol > 0.0:
         raise ValidationError(f"rel_ll_tol must be positive, got {rel_ll_tol}")
     if max_iters < 1:
         raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
+    if snapshot_stride is not None and snapshot_stride < 1:
+        raise ValidationError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
 
     samples = Dataset(data, params.n_features)
-    stride = snapshot_stride
-    if stride is None:
-        stride = 1 if params.layout.size <= SNAPSHOT_STRIDE_CUTOFF else 10
-
     t0 = time.perf_counter()
     cur = params
     # One log-density pass per iterate: it scores the iterate and gives
     # the responsibilities that the next step starts from.
     loglik, rt = _estep(cur, samples.xt)
-    records = [TraceRecord(0, loglik, 0.0, cur.to_vector())]
+    records = [TraceRecord(0, loglik, 0.0, cur.to_vector() if snapshot_stride else None)]
     reason = "max_iters"
     for k in range(1, max_iters + 1):
         try:
             new = step_fn(cur, samples, resp=rt.T)
             new_loglik, rt = _estep(new, samples.xt)
-        except (SimplexViolationError, InvalidCovarianceError,
-                DegenerateComponentError, NumericUnderflowError) as err:
+        except NumericalError as err:
             partial = RunTrace(records, "error", cur, algorithm, time.perf_counter() - t0)
             raise StepFailure(k, partial, err) from err
-        snap = new.to_vector() if k % stride == 0 else None
+        snap = new.to_vector() if snapshot_stride and k % snapshot_stride == 0 else None
         records.append(TraceRecord(k, new_loglik, _step_norm(new, cur), snap))
         # Relative stopping rule; fall back to absolute change at L = 0.
         scale = abs(loglik) if loglik != 0.0 else 1.0

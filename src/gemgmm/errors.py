@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The split mirrors how failures are reported: configuration and shape
-problems are distinct from numerical failures encountered while
-iterating (degenerate components, constraint violations, underflow).
+problems raise :class:`ValidationError`; numerical failures met while
+iterating (degenerate components, constraint violations, underflow)
+derive from :class:`NumericalError`, so one ``except`` catches them all.
 """
 
 
@@ -14,26 +15,30 @@ class ValidationError(GemGmmError):
     """Malformed shapes, configs, files, or out-of-range arguments."""
 
 
-class SimplexViolationError(GemGmmError):
+class NumericalError(GemGmmError):
+    """Base class for numerical failures of a step or a run."""
+
+
+class SimplexViolationError(NumericalError):
     """Mixture weights left the probability simplex (w_i <= 0 or bad sum)."""
 
 
-class InvalidCovarianceError(GemGmmError):
+class InvalidCovarianceError(NumericalError):
     """A covariance block is asymmetric beyond tolerance or not positive
     definite (symmetric factorization failed)."""
 
 
-class NumericUnderflowError(GemGmmError):
+class NumericUnderflowError(NumericalError):
     """The mixture density underflowed to zero (or became non-finite) at
     some data point, so log-space quantities are undefined."""
 
 
-class DegenerateComponentError(GemGmmError):
+class DegenerateComponentError(NumericalError):
     """A component's responsibility mass collapsed below threshold; the
     closed-form updates would divide by (numerical) zero."""
 
 
-class StepFailure(GemGmmError):
+class StepFailure(NumericalError):
     """A numerical error occurred inside an iteration loop.
 
     Carries the iteration index and the partial trace accumulated so far,

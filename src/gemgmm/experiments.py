@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,8 +30,8 @@ DEFAULT_BETA = 0.996
 DEFAULT_GRID_RESOLUTION = 1e-3
 DEFAULT_FD_STEP = 1e-6
 
-_INT_FIELDS = ("n_samples", "max_iters", "seed", "instances", "seed_stride")
-_FLOAT_FIELDS = ("tol", "fd_step", "grid_resolution")
+# Fields annotated ``int`` or ``float`` are coerced to that type.
+_NUMERIC_KINDS = {int: "an integer", float: "a number"}
 
 
 @dataclass
@@ -65,16 +66,13 @@ class ExperimentConfig:
         if unknown:
             raise ValidationError(f"unknown config keys: {unknown}")
         cfg = cls(**mapping)
-        for name in _INT_FIELDS:
-            try:
-                setattr(cfg, name, int(getattr(cfg, name)))
-            except (TypeError, ValueError):
-                raise ValidationError(f"config field {name!r} must be an integer")
-        for name in _FLOAT_FIELDS:
-            try:
-                setattr(cfg, name, float(getattr(cfg, name)))
-            except (TypeError, ValueError):
-                raise ValidationError(f"config field {name!r} must be a number")
+        for name, kind in get_type_hints(cls).items():
+            if kind in _NUMERIC_KINDS:
+                try:
+                    setattr(cfg, name, kind(getattr(cfg, name)))
+                except (TypeError, ValueError):
+                    raise ValidationError(
+                        f"config field {name!r} must be {_NUMERIC_KINDS[kind]}")
         cfg.algorithm = str(cfg.algorithm).replace("-", "_")
         if cfg.algorithm not in ALGORITHMS:
             raise ValidationError(
@@ -151,7 +149,11 @@ def _initial_params(config: ExperimentConfig, truth: GmmParams | None) -> GmmPar
     raise ValidationError(f"unknown init kind {kind!r}")
 
 
-def _design_for(config: ExperimentConfig, n_components: int) -> MeanStepWeights:
+def _design_for(config: ExperimentConfig, algorithm: str,
+                n_components: int) -> MeanStepWeights | None:
+    """The design ``algorithm`` takes: None unless it is ``w_pb_gem``."""
+    if algorithm != "w_pb_gem":
+        return None
     betas = config.beta if config.beta is not None else [DEFAULT_BETA] * n_components
     if len(betas) != n_components:
         raise ValidationError(f"beta must list one factor per component "
@@ -230,11 +232,8 @@ def cmd_fit(config: ExperimentConfig) -> RunTrace:
     data = io.load_dataset(config.dataset, header=config.header)
     truth = _resolve_params(config.true_model) if config.true_model is not None else None
     start = _initial_params(config, truth)
-    design = None
-    betas = None
-    if config.algorithm == "w_pb_gem":
-        design = _design_for(config, start.n_components)
-        betas = [float(b) for b in design.betas]
+    design = _design_for(config, config.algorithm, start.n_components)
+    betas = None if design is None else [float(b) for b in design.betas]
     try:
         trace = run(start, data, config.algorithm, design=design,
                     rel_ll_tol=config.tol, max_iters=config.max_iters)
@@ -283,18 +282,16 @@ def cmd_replicate(config: ExperimentConfig) -> dict:
             f"replicate seeds must be non-negative: seed {config.seed} with stride "
             f"{config.seed_stride} over {config.instances} instances reaches {last_seed}")
     truth = _resolve_params(config.true_model)
-    design = _design_for(config, truth.n_components)
-    traces: dict[str, list[RunTrace]] = {"pb_gem": [], "w_pb_gem": []}
+    designs = {a: _design_for(config, a, truth.n_components) for a in ("pb_gem", "w_pb_gem")}
+    start = _initial_params(config, truth)
+    traces: dict[str, list[RunTrace]] = {a: [] for a in designs}
     failures = []
     for i in range(config.instances):
         data = sample(truth, config.n_samples, config.seed + i * config.seed_stride)
-        start = _initial_params(config, truth)
-        for algorithm in ("pb_gem", "w_pb_gem"):
+        for algorithm, design in designs.items():
             try:
-                trace = run(start, data, algorithm,
-                            design=design if algorithm == "w_pb_gem" else None,
-                            rel_ll_tol=config.tol, max_iters=config.max_iters,
-                            snapshot_stride=config.max_iters + 1)
+                trace = run(start, data, algorithm, design=design,
+                            rel_ll_tol=config.tol, max_iters=config.max_iters)
             except StepFailure as err:
                 failures.append({"instance": i, "algorithm": algorithm,
                                  "iteration": err.iteration, "error": str(err.cause)})
@@ -337,7 +334,7 @@ def cmd_replicate(config: ExperimentConfig) -> dict:
         "n_samples": config.n_samples,
         "base_seed": config.seed,
         "seed_stride": config.seed_stride,
-        "beta": [float(b) for b in design.betas],
+        "beta": [float(b) for b in designs["w_pb_gem"].betas],
         "pb_gem": stats_pb,
         "w_pb_gem": stats_wpb,
         "weighted_mean_iterations_below_plain": faster,
@@ -385,9 +382,7 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
         if config.dataset is None:
             raise ValidationError("jacobian analysis requires a dataset (config key 'dataset')")
         data = io.load_dataset(config.dataset, header=config.header)
-        design = None
-        if config.algorithm == "w_pb_gem":
-            design = _design_for(config, params.n_components)
+        design = _design_for(config, config.algorithm, params.n_components)
         jac = update_map_jacobian(params, data, config.algorithm,
                                   fd_step=config.fd_step, design=design)
         report["jacobian"] = {

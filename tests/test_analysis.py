@@ -264,6 +264,8 @@ def test_jacobian_argument_validation():
         update_map_jacobian(p, x, "w_pb_gem")
     with pytest.raises(ValidationError):
         update_map_jacobian(p, x, "pb_gem", design=MeanStepWeights([1.0]))
+    with pytest.raises(ValidationError):
+        update_map_jacobian(p, x, lambda q, d: q, design=MeanStepWeights([1.0]))
 
 
 def test_jacobian_probe_failure_reports_perturbation_index():

@@ -12,7 +12,9 @@ import gemgmm
 from gemgmm import GmmParams, ValidationError, experiments
 from gemgmm.cli import main
 from gemgmm.experiments import ExperimentConfig, orthogonal_line_init
-from gemgmm.io import load_dataset, load_params, load_trace_csv
+from gemgmm.io import load_dataset, load_params, load_trace_csv, save_dataset, save_params
+
+from conftest import make_dataset
 
 TRUE_MODEL = {
     "K": 2, "m": 2,
@@ -52,6 +54,36 @@ def test_config_coercion_and_algorithm_normalization():
     assert cfg.algorithm == "w_pb_gem"
     assert cfg.beta == [0.5, 1.0]
     assert cfg.tol == 1e-8
+
+
+@pytest.mark.parametrize("name", ["n_samples", "max_iters", "seed", "instances",
+                                  "seed_stride"])
+def test_config_integer_fields_coerce(name):
+    for raw, want in (("12", 12), (3.0, 3), (7.9, 7), (True, 1)):
+        value = getattr(ExperimentConfig.from_mapping({name: raw}), name)
+        assert type(value) is int and value == want
+    for bad in ("1e3", "many", None, [1]):
+        with pytest.raises(ValidationError, match=f"^config field '{name}' must be an integer$"):
+            ExperimentConfig.from_mapping({name: bad})
+
+
+@pytest.mark.parametrize("name", ["tol", "fd_step", "grid_resolution"])
+def test_config_number_fields_coerce(name):
+    for raw, want in (("1e-3", 1e-3), (2, 2.0), (" 0.5 ", 0.5)):
+        value = getattr(ExperimentConfig.from_mapping({name: raw}), name)
+        assert type(value) is float and value == want
+    for bad in ("tight", None, [1.0]):
+        with pytest.raises(ValidationError, match=f"^config field '{name}' must be a number$"):
+            ExperimentConfig.from_mapping({name: bad})
+
+
+def test_config_leaves_other_fields_uncoerced():
+    cfg = ExperimentConfig.from_mapping({"n_samples": "12", "tol": "1e-3", "seed": 3.0,
+                                         "out": "runs", "plot": 1, "header": 0})
+    assert (cfg.n_samples, cfg.tol, cfg.seed) == (12, 1e-3, 3)
+    assert type(cfg.seed) is int
+    assert cfg.out == "runs" and cfg.plot == 1 and cfg.header == 0
+    assert type(cfg.plot) is int and type(cfg.header) is int
 
 
 @pytest.mark.parametrize("mapping", [
@@ -397,6 +429,22 @@ def test_analyze_em_jacobian(tmp_path):
     report = json.loads((tmp_path / "a" / "analysis.json").read_text())
     assert report["jacobian"]["algorithm"] == "em"
     assert len(report["jacobian"]["moduli"]) == 14
+
+
+def test_analyze_exit_code_on_numerical_failure(tmp_path, capsys):
+    # one weight sits closer to zero than the probe step, so the minus
+    # probe leaves the simplex
+    rng = np.random.default_rng(229)
+    save_dataset(tmp_path / "x.csv", make_dataset(rng, 20, 1))
+    params = tmp_path / "p.json"
+    save_params(params, GmmParams([1e-7, 1.0 - 1e-7], [[-2.0], [2.0]],
+                                  [np.eye(1), np.eye(1)]))
+    cfg = write_config(tmp_path / "a.json", out=str(tmp_path / "a"))
+    assert main(["analyze", "--config", cfg, str(params),
+                 "--dataset", str(tmp_path / "x.csv"), "--algo", "pb-gem"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "perturbation" in err
+    assert not (tmp_path / "a" / "analysis.json").exists()
 
 
 def test_analyze_rejects_bad_sector(tmp_path):

@@ -21,7 +21,13 @@ from gemgmm import (
 )
 from gemgmm import core
 from gemgmm.dynamics import ALGORITHMS
-from gemgmm.errors import DegenerateComponentError
+from gemgmm.errors import (
+    DegenerateComponentError,
+    InvalidCovarianceError,
+    NumericalError,
+    NumericUnderflowError,
+    SimplexViolationError,
+)
 
 from conftest import dense, make_dataset, make_params
 
@@ -309,8 +315,10 @@ def test_run_snapshot_stride():
             assert r.snapshot is not None
         else:
             assert r.snapshot is None
-    dense = run(TRUTH, data, "em", max_iters=4, rel_ll_tol=1e-300)
-    assert all(r.snapshot is not None for r in dense.records)
+    # by default no record carries a snapshot, iteration 0 included
+    plain = run(TRUTH, data, "em", max_iters=4, rel_ll_tol=1e-300)
+    assert len(plain.records) == 5
+    assert all(r.snapshot is None for r in plain.records)
 
 
 def test_run_argument_validation():
@@ -325,6 +333,8 @@ def test_run_argument_validation():
         run(TRUTH, data, "em", rel_ll_tol=0.0)
     with pytest.raises(ValidationError):
         run(TRUTH, data, "em", max_iters=0)
+    with pytest.raises(ValidationError):
+        run(TRUTH, data, "em", snapshot_stride=0)
 
 
 START = GmmParams([0.4, 0.6], [[0.5, 0.2], [-0.5, 0.0]], [np.eye(2), 2.0 * np.eye(2)])
@@ -410,3 +420,12 @@ def test_run_wraps_step_failures_with_partial_trace():
     assert err.trace.reason == "error"
     assert len(err.trace.records) == 1
     assert np.array_equal(err.trace.final_params.to_vector(), start.to_vector())
+
+
+@pytest.mark.parametrize("error_type", [SimplexViolationError, InvalidCovarianceError,
+                                        NumericUnderflowError, DegenerateComponentError,
+                                        StepFailure])
+def test_numerical_failures_share_one_base(error_type):
+    # run and the CLI catch numerical failures through this one base
+    assert issubclass(error_type, NumericalError)
+    assert not issubclass(ValidationError, NumericalError)
