@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Dataset, GmmParams
 from .dynamics import MeanStepWeights, RunTrace, _step_for
-from .errors import GemGmmError, ValidationError
+from .errors import GemGmmError, StepFailure, ValidationError
 
 # Negative semidefiniteness is decided by an eigenvalue test with this
 # much slack; the matrix is 2x2, so no external solver is involved.
@@ -115,37 +115,19 @@ def rate_certificate(bounds: SectorBounds, resolution: float = 1e-3) -> RateCert
     return RateCertificate(math.nan, math.nan, False)
 
 
-def _probe_directions(layout) -> list[np.ndarray]:
-    """Feasible-layout perturbation directions, one per coordinate.
+def _probe_directions(layout):
+    """Yield feasible-layout perturbation directions, one per coordinate.
 
-    Weight coordinates are probed inside the zero-sum subspace and
-    covariance coordinates inside the symmetric subspace (the orthogonal
-    projections of the raw basis vectors), so every probe point stays on
-    the constraint set.  Mean coordinates are unconstrained.
+    Each raw basis vector is projected orthogonally onto the constraint
+    set's tangent space: the weight block onto the zero-sum subspace, each
+    covariance block onto the symmetric matrices.  Every probe point thus
+    stays on the constraint set; mean coordinates are unconstrained.
     """
-    k, m = layout.n_components, layout.n_features
-    dirs = []
-    for j in range(k):
-        d = np.zeros(layout.size)
-        d[j] = 1.0
-        d[layout.weight_block] -= 1.0 / k
-        dirs.append(d)
-    for i in range(k * m):
-        d = np.zeros(layout.size)
-        d[layout.mean_block.start + i] = 1.0
-        dirs.append(d)
-    for j in range(k):
-        base = layout.cov_slice(j).start
-        for q in range(m * m):
-            a, b = q % m, q // m       # column-stacked: q encodes entry (a, b)
-            d = np.zeros(layout.size)
-            if a == b:
-                d[base + q] = 1.0
-            else:
-                d[base + a + b * m] = 0.5
-                d[base + b + a * m] = 0.5
-            dirs.append(d)
-    return dirs
+    for idx in range(layout.size):
+        unit = np.zeros(layout.size)
+        unit[idx] = 1.0
+        w, mu, cv = layout.split(unit)
+        yield layout.join(w - w.mean(), mu, 0.5 * (cv + cv.transpose(0, 2, 1)))
 
 
 def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
@@ -180,7 +162,11 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
             plus = step(GmmParams.from_vector(base + fd_step * direction, k, m), samples).to_vector()
             minus = step(GmmParams.from_vector(base - fd_step * direction, k, m), samples).to_vector()
         except GemGmmError as err:
-            raise type(err)(f"update step failed at perturbation {idx}: {err}") from err
+            # a custom map may call run: re-raise a StepFailure as its root cause's class
+            cause = err
+            while isinstance(cause, StepFailure):
+                cause = cause.cause
+            raise type(cause)(f"update step failed at perturbation {idx}: {err}") from err
         jac[:, idx] = (plus - minus) / (2.0 * fd_step)
     moduli = np.sort(np.abs(np.linalg.eigvals(jac)))[::-1]
     top = moduli[0]

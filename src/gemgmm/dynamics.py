@@ -216,7 +216,7 @@ class RunTrace:
     records: list[TraceRecord]
     reason: str                  # "tolerance" | "max_iters" | "error" (partial)
     final_params: GmmParams
-    algorithm: str
+    algorithm: str | Callable[..., GmmParams]
     wall_time: float = 0.0
 
     @property
@@ -237,7 +237,7 @@ def _step_norm(new: GmmParams, cur: GmmParams) -> float:
     return math.sqrt(sq)
 
 
-def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
+def run(params: GmmParams, data: np.ndarray, algorithm: str | Callable[..., GmmParams], *,
         design: MeanStepWeights | None = None, rel_ll_tol: float = 1e-10,
         max_iters: int = 10_000, snapshot_stride: int | None = None) -> RunTrace:
     """Iterate one of the update maps until the relative change of the

@@ -204,6 +204,13 @@ def _fit_summary(trace: RunTrace, config: ExperimentConfig,
     return summary
 
 
+def _write_plot(path: Path, curves: list[dict], title: str, config: ExperimentConfig) -> str:
+    """Render ``curves`` of -loglik against iteration to an SVG at ``path``."""
+    path.write_text(line_plot(curves, title=title, xlabel="iteration", ylabel="-loglik",
+                              inset=config.inset))
+    return str(path)
+
+
 def _write_fit_outputs(trace: RunTrace, config: ExperimentConfig,
                        betas: list[float] | None, error: str | None = None) -> dict:
     out = _outdir(config)
@@ -214,10 +221,7 @@ def _write_fit_outputs(trace: RunTrace, config: ExperimentConfig,
         curve = {"label": trace.algorithm.replace("_", "-"),
                  "x": [r.iteration for r in trace.records],
                  "y": [-r.loglik for r in trace.records]}
-        svg = line_plot([curve], title="negative log-likelihood",
-                        xlabel="iteration", ylabel="-loglik", inset=config.inset)
-        paths["plot"] = str(out / "loglik.svg")
-        Path(paths["plot"]).write_text(svg)
+        paths["plot"] = _write_plot(out / "loglik.svg", [curve], "negative log-likelihood", config)
     return paths
 
 
@@ -242,15 +246,6 @@ def cmd_fit(config: ExperimentConfig) -> RunTrace:
         raise
     _write_fit_outputs(trace, config, betas)
     return trace
-
-
-def _padded_negll(traces: list[RunTrace], n_rows: int) -> np.ndarray:
-    out = np.empty((len(traces), n_rows))
-    for i, tr in enumerate(traces):
-        ll = tr.logliks
-        out[i, :ll.size] = -ll
-        out[i, ll.size:] = -ll[-1]
-    return out
 
 
 def _iteration_stats(traces: list[RunTrace]) -> dict:
@@ -301,42 +296,44 @@ def cmd_replicate(config: ExperimentConfig) -> dict:
     n_rows = max((tr.logliks.size for lst in traces.values() for tr in lst), default=0)
     if n_rows == 0:
         raise ValidationError("every replicate instance failed; nothing to aggregate")
-    columns = {}
+    # An algorithm without runs keeps NaN CSV columns but gets no curve:
+    # NaN would blank the plot's y-axis for every curve.
+    header, columns, curves, stats = ["iter"], [], [], {}
     for algorithm, lst in traces.items():
+        tag = algorithm.replace("_gem", "").replace("_", "")
+        header += [f"mean_negll_{tag}", f"std_negll_{tag}"]
+        stats[algorithm] = _iteration_stats(lst)
         if lst:
-            negll = _padded_negll(lst, n_rows)
-            columns[algorithm] = (negll.mean(axis=0), negll.std(axis=0))
+            negll = np.vstack([np.pad(-tr.logliks, (0, n_rows - tr.logliks.size), mode="edge")
+                               for tr in lst])
+            mean, std = negll.mean(axis=0), negll.std(axis=0)
+            curves.append({"label": algorithm.replace("_", "-"), "x": np.arange(n_rows),
+                           "y": mean, "band": (mean - std, mean + std)})
         else:
-            nan = np.full(n_rows, np.nan)
-            columns[algorithm] = (nan, nan)
+            mean = std = np.full(n_rows, np.nan)
+        columns += [mean, std]
 
     out = _outdir(config)
     lines = [
         "# per-iteration negative log-likelihood aggregated across replicate instances",
         "# runs shorter than the longest run are padded by repeating their terminal value",
-        "iter,mean_negll_pb,std_negll_pb,mean_negll_wpb,std_negll_wpb",
+        ",".join(header),
     ]
-    mean_pb, std_pb = columns["pb_gem"]
-    mean_wpb, std_wpb = columns["w_pb_gem"]
     for it in range(n_rows):
-        lines.append(f"{it},{float(mean_pb[it])!r},{float(std_pb[it])!r},"
-                     f"{float(mean_wpb[it])!r},{float(std_wpb[it])!r}")
+        lines.append(",".join([str(it)] + [repr(float(col[it])) for col in columns]))
     csv_path = out / "replicate.csv"
     csv_path.write_text("\n".join(lines) + "\n")
 
-    stats_pb = _iteration_stats(traces["pb_gem"])
-    stats_wpb = _iteration_stats(traces["w_pb_gem"])
     faster = None
-    if stats_pb["runs"] and stats_wpb["runs"]:
-        faster = bool(stats_wpb["mean_iterations"] < stats_pb["mean_iterations"])
+    if stats["pb_gem"]["runs"] and stats["w_pb_gem"]["runs"]:
+        faster = bool(stats["w_pb_gem"]["mean_iterations"] < stats["pb_gem"]["mean_iterations"])
     summary = {
         "instances": config.instances,
         "n_samples": config.n_samples,
         "base_seed": config.seed,
         "seed_stride": config.seed_stride,
         "beta": [float(b) for b in designs["w_pb_gem"].betas],
-        "pb_gem": stats_pb,
-        "w_pb_gem": stats_wpb,
+        **stats,
         "weighted_mean_iterations_below_plain": faster,
         "failures": failures,
         "failure_count": len(failures),
@@ -344,17 +341,8 @@ def cmd_replicate(config: ExperimentConfig) -> dict:
     paths = {"aggregate": str(csv_path), "summary": str(out / "replicate_summary.json")}
     io.save_json(paths["summary"], summary)
     if config.plot:
-        iters = np.arange(n_rows)
-        curves = [
-            {"label": "pb-gem", "x": iters, "y": mean_pb,
-             "band": (mean_pb - std_pb, mean_pb + std_pb)},
-            {"label": "w-pb-gem", "x": iters, "y": mean_wpb,
-             "band": (mean_wpb - std_wpb, mean_wpb + std_wpb)},
-        ]
-        svg = line_plot(curves, title="replicated negative log-likelihood (mean +/- std)",
-                        xlabel="iteration", ylabel="-loglik", inset=config.inset)
-        paths["plot"] = str(out / "replicate.svg")
-        Path(paths["plot"]).write_text(svg)
+        paths["plot"] = _write_plot(out / "replicate.svg", curves,
+                                    "replicated negative log-likelihood (mean +/- std)", config)
     return {"summary": summary, "traces": traces, "paths": paths}
 
 

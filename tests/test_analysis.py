@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gemgmm import (
+    DegenerateComponentError,
     GmmParams,
     MeanStepWeights,
     SectorBounds,
@@ -153,17 +154,39 @@ def _feasible_vector(layout, rng):
     return v
 
 
-def test_identity_stub_jacobian_acts_as_identity_on_feasible_vectors():
+def _feasible_projector(k, m):
+    """Dense orthogonal projector onto the feasible directions, in the
+    flat layout: I - 11'/K on the weights, I on the means, and
+    (I + commutation)/2 on each column-stacked covariance block."""
+    commutation = np.zeros((m * m, m * m))
+    for a in range(m):
+        for b in range(m):
+            commutation[b + a * m, a + b * m] = 1.0
+    blocks = ([np.eye(k) - np.full((k, k), 1.0 / k), np.eye(k * m)]
+              + [0.5 * (np.eye(m * m) + commutation)] * k)
+    size = k + k * m + k * m * m
+    proj = np.zeros((size, size))
+    at = 0
+    for block in blocks:
+        n = block.shape[0]
+        proj[at:at + n, at:at + n] = block
+        at += n
+    return proj
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 2), (3, 3), (2, 5)])
+def test_identity_stub_jacobian_acts_as_identity_on_feasible_vectors(k, m):
+    # K=1 has a zero weight direction; m=1 has no off-diagonal entries
     rng = np.random.default_rng(211)
-    p = make_params(rng, 2, 2)
-    x = make_dataset(rng, 20, 2)
+    p = make_params(rng, k, m)
+    x = make_dataset(rng, 20, m)
     rep = update_map_jacobian(p, x, lambda q, d: q)
+    assert np.allclose(rep.jacobian, _feasible_projector(k, m), rtol=0, atol=1e-8)
     for seed in range(5):
         v = _feasible_vector(p.layout, np.random.default_rng(seed))
         assert np.linalg.norm(rep.jacobian @ v - v) <= 1e-8 * np.linalg.norm(v)
     # feasible directions carry eigenvalue 1, the rest collapse to 0
     assert rep.classification == "first_order"
-    k, m = 2, 2
     n_feasible = (k - 1) + k * m + k * (m * (m + 1) // 2)
     assert np.sum(rep.moduli > 0.5) == n_feasible
 
@@ -276,6 +299,23 @@ def test_jacobian_probe_failure_reports_perturbation_index():
     p = GmmParams([1e-7, 1.0 - 1e-7], [[-2.0], [2.0]], [np.eye(1), np.eye(1)])
     with pytest.raises(SimplexViolationError, match="perturbation"):
         update_map_jacobian(p, x, "pb_gem")
+
+
+def _em_once(q, d):
+    return run(q, d, "em", max_iters=1).final_params
+
+
+@pytest.mark.parametrize("custom_map", [
+    _em_once, lambda q, d: run(q, d, _em_once, max_iters=1).final_params],
+    ids=["run", "run_of_run"])
+def test_jacobian_probe_failure_inside_run_reports_its_cause(custom_map):
+    # a custom map that calls run fails as StepFailure (nested, when the
+    # map run iterates calls run too); the probe error takes the class of
+    # the root cause and names the perturbation
+    x = np.random.default_rng(0).normal(size=(50, 1))
+    p = GmmParams([0.5, 0.5], [[0.0], [1000.0]], [np.eye(1), np.eye(1)])
+    with pytest.raises(DegenerateComponentError, match="perturbation 0: iteration 1"):
+        update_map_jacobian(p, x, custom_map)
 
 
 # ------------------------------------------------------------ empirical rate

@@ -361,6 +361,25 @@ def test_replicate_aggregate_row_count_padding(tmp_path):
     assert len(lines) - 3 == longest + 1
 
 
+def test_replicate_plot_leaves_out_an_algorithm_without_runs(tmp_path):
+    # beta 3 overshoots the mean steps, so every w_pb_gem run fails
+    cfg = write_config(tmp_path / "rep.json", true_model=TRUE_MODEL,
+                       n_samples=60, init={"kind": "orthogonal-line", "distance": 3.0},
+                       instances=2, beta=[3.0, 3.0], max_iters=200, plot=True,
+                       out=str(tmp_path / "rep"))
+    assert main(["replicate", "--config", cfg]) == 0
+    summary = json.loads((tmp_path / "rep" / "replicate_summary.json").read_text())
+    assert summary["pb_gem"]["runs"] == 2
+    assert summary["w_pb_gem"]["runs"] == 0
+    rows = (tmp_path / "rep" / "replicate.csv").read_text().splitlines()[3:]
+    assert all(row.endswith(",nan,nan") for row in rows)
+    svg = (tmp_path / "rep" / "replicate.svg").read_text()
+    assert "nan" not in svg
+    assert ">pb-gem</text>" in svg
+    assert "w-pb-gem" not in svg
+    assert svg.count("<polyline") == 1
+
+
 def test_replicate_rejects_negative_seed_stride(tmp_path, monkeypatch):
     # the seeds are checked before any fit: instance 0 (seed 0) is not run
     fits = []

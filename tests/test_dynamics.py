@@ -364,6 +364,15 @@ def test_run_is_bit_equal_to_hand_loop(algorithm):
     assert np.array_equal(trace.final_params.to_vector(), p.to_vector())
 
 
+def test_run_accepts_a_custom_map():
+    data = sample(TRUTH, 1000, 13001)
+    custom = lambda p, x: em_step(p, x)
+    trace = run(START, data, custom, max_iters=300, rel_ll_tol=1e-300)
+    named = run(START, data, "em", max_iters=300, rel_ll_tol=1e-300)
+    assert trace.logliks.tolist() == named.logliks.tolist()
+    assert trace.algorithm is custom
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_run_makes_one_density_pass_per_iterate(monkeypatch, algorithm):
     passes = []
