@@ -71,6 +71,7 @@ def rate_bound(bounds: SectorBounds) -> float:
 
 
 def lmi_matrix(mu: float, lam: float, bounds: SectorBounds) -> np.ndarray:
+    """The rate LMI's 2x2 matrix; an array ``lam`` gives each entry over its grid."""
     m, L = bounds.m_lo, bounds.L_hi
     return np.array([
         [1.0 - mu * mu - 2.0 * m * L * lam, -1.0 + lam * (L + m)],
@@ -99,13 +100,10 @@ def rate_certificate(bounds: SectorBounds, resolution: float = 1e-3) -> RateCert
     """
     if not resolution > 0.0:
         raise ValidationError(f"grid resolution must be positive, got {resolution}")
-    m, L = bounds.m_lo, bounds.L_hi
     mus = np.arange(0.0, 1.0, resolution)
     lams = np.arange(0.5, 5.0 + 0.5 * resolution, resolution)
     # Batched top eigenvalue of [[a, b], [b, d]] across the lambda grid.
-    b = lams * (L + m) - 1.0
-    d = 1.0 - 2.0 * lams
-    a0 = 1.0 - 2.0 * m * L * lams
+    (a0, b), (_, d) = lmi_matrix(0.0, lams, bounds)
     for mu in mus:
         a = a0 - mu * mu
         top = 0.5 * (a + d) + np.sqrt((0.5 * (a - d)) ** 2 + b * b)

@@ -160,29 +160,6 @@ class VectorLayout:
         k, m = self.n_components, self.n_features
         return k + k * m + k * m * m
 
-    @property
-    def weight_block(self) -> slice:
-        return slice(0, self.n_components)
-
-    @property
-    def mean_block(self) -> slice:
-        k, m = self.n_components, self.n_features
-        return slice(k, k + k * m)
-
-    @property
-    def cov_block(self) -> slice:
-        k, m = self.n_components, self.n_features
-        return slice(k + k * m, k + k * m + k * m * m)
-
-    def mean_slice(self, j: int) -> slice:
-        k, m = self.n_components, self.n_features
-        return slice(k + j * m, k + (j + 1) * m)
-
-    def cov_slice(self, j: int) -> slice:
-        k, m = self.n_components, self.n_features
-        base = k + k * m
-        return slice(base + j * m * m, base + (j + 1) * m * m)
-
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Split a flat vector into (weights, means, covs) blocks.
 
@@ -193,12 +170,10 @@ class VectorLayout:
         if vec.shape != (self.size,):
             raise ValidationError(f"expected vector of shape ({self.size},), got {vec.shape}")
         k, m = self.n_components, self.n_features
-        w = vec[self.weight_block].copy()
-        mu = vec[self.mean_block].reshape(k, m).copy()
+        w, mu, cv = np.split(vec, [k, k + k * m])
         # Each cov block is column-stacked, so the C-order reshape is the
         # transpose of the matrix it encodes.
-        cv = vec[self.cov_block].reshape(k, m, m).transpose(0, 2, 1).copy()
-        return w, mu, cv
+        return w.copy(), mu.reshape(k, m).copy(), cv.reshape(k, m, m).transpose(0, 2, 1).copy()
 
     def join(self, weights: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`split`; exact (copies, no arithmetic)."""

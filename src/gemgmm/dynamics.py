@@ -105,13 +105,8 @@ def apply_projection(vec: np.ndarray, layout: VectorLayout) -> np.ndarray:
     (``v - mean(v)``), i.e. projected onto the zero-sum subspace, so that
     updated weights keep their sum unchanged.
     """
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (layout.size,):
-        raise ValidationError(f"expected vector of shape ({layout.size},), got {vec.shape}")
-    out = vec.copy()
-    wb = layout.weight_block
-    out[wb] -= out[wb].mean()
-    return out
+    w, mu, cv = layout.split(vec)
+    return layout.join(w - w.mean(), mu, cv)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,25 @@ DEFAULT_FD_STEP = 1e-6
 # Fields annotated ``int`` or ``float`` are coerced to that type.
 _NUMERIC_KINDS = {int: "an integer", float: "a number"}
 
+# Fields taken as given, which must hold their annotated type: the
+# objects and the paths.
+_TYPED_FIELDS = {"init": "an object", "sector": "an object", "out": "a string",
+                 "dataset": "a string", "params_file": "a string", "trace": "a string"}
+
+
+def _numbers(values, field: str, what: str = "a list of numbers",
+             size: int | None = None) -> list[float]:
+    """``values`` as floats, or a ValidationError saying that config
+    ``field`` must be ``what``.  Only a list or tuple (a JSON array, or
+    what the CLI parses) passes, of ``size`` entries when given, so a
+    string is never read as its characters."""
+    if isinstance(values, (list, tuple)) and size in (None, len(values)):
+        try:
+            return [float(v) for v in values]
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"config field {field!r} must be {what}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -66,7 +85,11 @@ class ExperimentConfig:
         if unknown:
             raise ValidationError(f"unknown config keys: {unknown}")
         cfg = cls(**mapping)
-        for name, kind in get_type_hints(cls).items():
+        hints = get_type_hints(cls)
+        for name, what in _TYPED_FIELDS.items():
+            if not isinstance(getattr(cfg, name), hints[name]):
+                raise ValidationError(f"config field {name!r} must be {what}")
+        for name, kind in hints.items():
             if kind in _NUMERIC_KINDS:
                 try:
                     setattr(cfg, name, kind(getattr(cfg, name)))
@@ -78,14 +101,9 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown algorithm {cfg.algorithm!r}, expected one of {ALGORITHMS}")
         if cfg.beta is not None:
-            try:
-                cfg.beta = [float(v) for v in cfg.beta]
-            except (TypeError, ValueError):
-                raise ValidationError("config field 'beta' must be a list of numbers")
+            cfg.beta = _numbers(cfg.beta, "beta")
         if cfg.inset is not None:
-            if len(cfg.inset) != 2:
-                raise ValidationError("config field 'inset' must be a pair [start, stop]")
-            cfg.inset = (float(cfg.inset[0]), float(cfg.inset[1]))
+            cfg.inset = tuple(_numbers(cfg.inset, "inset", "a pair [start, stop]", size=2))
         return cfg
 
 
@@ -145,7 +163,8 @@ def _initial_params(config: ExperimentConfig, truth: GmmParams | None) -> GmmPar
             raise ValidationError("orthogonal-line init needs the true model (config key 'true_model')")
         if "distance" not in config.init:
             raise ValidationError("orthogonal-line init needs a 'distance' entry")
-        return orthogonal_line_init(truth, float(config.init["distance"]))
+        distance = _numbers([config.init["distance"]], "init.distance", "a number")[0]
+        return orthogonal_line_init(truth, distance)
     raise ValidationError(f"unknown init kind {kind!r}")
 
 
@@ -314,15 +333,12 @@ def cmd_replicate(config: ExperimentConfig) -> dict:
         columns += [mean, std]
 
     out = _outdir(config)
-    lines = [
+    csv_path = out / "replicate.csv"
+    io.save_table(csv_path, [
         "# per-iteration negative log-likelihood aggregated across replicate instances",
         "# runs shorter than the longest run are padded by repeating their terminal value",
         ",".join(header),
-    ]
-    for it in range(n_rows):
-        lines.append(",".join([str(it)] + [repr(float(col[it])) for col in columns]))
-    csv_path = out / "replicate.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    ], zip(range(n_rows), *(col.tolist() for col in columns)))
 
     faster = None
     if stats["pb_gem"]["runs"] and stats["w_pb_gem"]["runs"]:
@@ -352,7 +368,8 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
     if config.sector is not None:
         if set(config.sector) != {"m_lo", "L_hi"}:
             raise ValidationError("sector must be an object with keys 'm_lo' and 'L_hi'")
-        bounds = SectorBounds(float(config.sector["m_lo"]), float(config.sector["L_hi"]))
+        bounds = SectorBounds(*_numbers([config.sector["m_lo"], config.sector["L_hi"]],
+                                        "sector", "an object with numeric 'm_lo' and 'L_hi'"))
         cert = rate_certificate(bounds, config.grid_resolution)
         report["rate"] = {
             "m_lo": bounds.m_lo,

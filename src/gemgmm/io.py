@@ -1,12 +1,14 @@
-"""File formats: parameter JSON, dataset CSV, trace CSV, report JSON.
+"""File formats: parameter JSON, CSV tables, report JSON.
 
 All float output goes through ``repr``, the shortest round-tripping
-decimal form, so identical inputs produce byte-identical files.
+decimal form, so identical inputs produce byte-identical files; every
+CSV table is written by :func:`save_table`.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +21,8 @@ TRACE_HEADER = "iter,loglik,step_norm"
 
 PARAM_KEYS = ("K", "m", "alpha", "mu", "sigma")
 
-# Dataset rows turned into text per write: bounds the Python floats and
-# strings alive at once, whatever N is.
+# Rows turned into text (dataset rows: into Python floats) per write:
+# bounds the Python numbers and strings alive at once, whatever N is.
 CSV_CHUNK_ROWS = 4096
 
 
@@ -78,43 +80,51 @@ def load_params(path) -> GmmParams:
     return params_from_dict(load_json(path))
 
 
+def save_table(path, head, rows) -> None:
+    """CSV: the ``head`` lines, then one line per row of Python numbers
+    in ``repr`` form, turned into text ``CSV_CHUNK_ROWS`` rows at a time."""
+    rows = iter(rows)
+    with open(path, "w") as fh:
+        fh.writelines(f"{line}\n" for line in head)
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            fh.write("\n".join([",".join(map(repr, row)) for row in chunk]) + "\n")
+
+
+def _load_csv(path, kind: str, skiprows: int) -> np.ndarray:
+    """Numbers of a CSV file as a 2-D array; errors name the file ``kind``."""
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"{kind} file not found: {path}")
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+    except ValueError as err:
+        raise ValidationError(f"could not parse {kind} {path}: {err}") from err
+
+
 def save_dataset(path, data: np.ndarray) -> None:
     """CSV, one sample per row, no header."""
     x = as_dataset(data)
-    with open(path, "w") as fh:
-        for start in range(0, x.shape[0], CSV_CHUNK_ROWS):
-            rows = x[start:start + CSV_CHUNK_ROWS].tolist()
-            fh.write("\n".join([",".join(map(repr, row)) for row in rows]) + "\n")
+    save_table(path, [], (row for start in range(0, x.shape[0], CSV_CHUNK_ROWS)
+                          for row in x[start:start + CSV_CHUNK_ROWS].tolist()))
 
 
 def load_dataset(path, header: bool = False) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"dataset file not found: {path}")
-    try:
-        x = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
-    except ValueError as err:
-        raise ValidationError(f"could not parse dataset {path}: {err}") from err
-    return as_dataset(x)
+    return as_dataset(_load_csv(path, "dataset", 1 if header else 0))
 
 
 def save_trace_csv(path, trace: RunTrace) -> None:
     """One row per record in TRACE_HEADER order; snapshots are not serialized."""
-    lines = [TRACE_HEADER]
-    for r in trace.records:
-        lines.append(f"{r.iteration},{float(r.loglik)!r},{float(r.step_norm)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    save_table(path, [TRACE_HEADER],
+               ((r.iteration, float(r.loglik), float(r.step_norm)) for r in trace.records))
 
 
 def load_trace_csv(path) -> np.ndarray:
-    """(n, 3) array in TRACE_HEADER column order."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"trace file not found: {path}")
-    try:
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as err:
-        raise ValidationError(f"could not parse trace {path}: {err}") from err
+    """(n, 3) array in TRACE_HEADER column order, from a file headed by TRACE_HEADER."""
+    arr = _load_csv(path, "trace", 1)
     if arr.shape[1] != TRACE_HEADER.count(",") + 1:
         raise ValidationError(f"trace {path} has {arr.shape[1]} columns, expected {TRACE_HEADER}")
+    with open(path) as fh:
+        head = fh.readline().rstrip("\r\n")
+    if head != TRACE_HEADER:
+        raise ValidationError(f"trace {path} has header {head!r}, expected {TRACE_HEADER}")
     return arr

@@ -10,6 +10,9 @@ import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
+# Canvas size in pixels.
+WIDTH, HEIGHT = 720, 480
+
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
@@ -92,45 +95,37 @@ def _axes(frame: _Frame, n_ticks=5, font=11) -> list[str]:
     return parts
 
 
-def line_plot(curves, *, title: str = "", xlabel: str = "", ylabel: str = "",
-              size: tuple[int, int] = (720, 480),
+def line_plot(curves, *, title: str, xlabel: str, ylabel: str,
               inset: tuple[float, float] | None = None) -> str:
     """Render curves (list of {"label", "x", "y", optional "band"}) to SVG.
 
     ``inset`` zooms the x-window [a, b] into a sub-panel, used to show
     the behavior over a short iteration range.
     """
-    width, height = size
     left, right, top, bottom = 72, 24, 46, 52
-    frame = _Frame(*_data_range(curves), left, top, width - left - right,
-                   height - top - bottom)
+    frame = _Frame(*_data_range(curves), left, top, WIDTH - left - right,
+                   HEIGHT - top - bottom)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     parts += _axes(frame)
     parts += _draw_curves(frame, curves)
-    if title:
-        parts.append(f'<text x="{_fmt(width / 2)}" y="24" font-size="15" '
-                     f'text-anchor="middle">{title}</text>')
-    if xlabel:
-        parts.append(f'<text x="{_fmt(left + frame.pw / 2)}" y="{_fmt(height - 12)}" '
-                     f'font-size="12" text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        cy = top + frame.ph / 2
-        parts.append(f'<text x="16" y="{_fmt(cy)}" font-size="12" text-anchor="middle" '
-                     f'transform="rotate(-90 16 {_fmt(cy)})">{ylabel}</text>')
+    parts.append(f'<text x="{_fmt(WIDTH / 2)}" y="24" font-size="15" '
+                 f'text-anchor="middle">{title}</text>')
+    parts.append(f'<text x="{_fmt(left + frame.pw / 2)}" y="{_fmt(HEIGHT - 12)}" '
+                 f'font-size="12" text-anchor="middle">{xlabel}</text>')
+    cy = top + frame.ph / 2
+    parts.append(f'<text x="16" y="{_fmt(cy)}" font-size="12" text-anchor="middle" '
+                 f'transform="rotate(-90 16 {_fmt(cy)})">{ylabel}</text>')
     for i, c in enumerate(curves):
-        label = c.get("label")
-        if not label:
-            continue
         color = PALETTE[i % len(PALETTE)]
         ly = top + 14 + 16 * i
         lx = left + frame.pw - 150
         parts.append(f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 22)}" '
                      f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_fmt(lx + 28)}" y="{_fmt(ly)}" font-size="11">{label}</text>')
+        parts.append(f'<text x="{_fmt(lx + 28)}" y="{_fmt(ly)}" font-size="11">{c["label"]}</text>')
     if inset is not None:
         parts += _inset_panel(curves, inset, frame)
     parts.append("</svg>")

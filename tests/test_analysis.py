@@ -143,15 +143,8 @@ def test_grid_rate_within_one_cell_of_closed_form(m_lo, L_hi):
 
 def _feasible_vector(layout, rng):
     """Random vector with zero-sum weight block and symmetric cov blocks."""
-    v = rng.normal(size=layout.size)
-    wb = layout.weight_block
-    v[wb] -= v[wb].mean()
-    k, m = layout.n_components, layout.n_features
-    for j in range(k):
-        s = layout.cov_slice(j)
-        block = v[s].reshape(m, m)
-        v[s] = (0.5 * (block + block.T)).reshape(-1)
-    return v
+    w, mu, cv = layout.split(rng.normal(size=layout.size))
+    return layout.join(w - w.mean(), mu, 0.5 * (cv + cv.transpose(0, 2, 1)))
 
 
 def _feasible_projector(k, m):

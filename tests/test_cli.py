@@ -490,6 +490,52 @@ def test_analyze_jacobian_requires_dataset(tmp_path):
     assert main(["analyze", "--config", cfg, str(fitted)]) == 2
 
 
+# A malformed value in any of these fields is a config problem: exit 2,
+# never a traceback, and never a string read as a list of its digits.
+_BAD_RUN_FIELDS = {
+    "inset-number": {"inset": 5},
+    "inset-non-numeric": {"inset": ["a", 1]},
+    "inset-string": {"inset": "05"},
+    "init-string": {"init": "foo"},
+    "out-number": {"out": 5},
+    "distance-string": {"init": {"kind": "orthogonal-line", "distance": "abc"}},
+    "beta-string": {"algorithm": "w-pb-gem", "beta": "12"},
+}
+_BAD_SECTORS = {
+    "sector-non-numeric": {"m_lo": "x", "L_hi": 1},
+    "sector-null": {"m_lo": None, "L_hi": 1},
+    "sector-list": ["m_lo", "L_hi"],
+}
+_MALFORMED = ([pytest.param(command, fields, id=f"{command}-{name}")
+               for command in ("fit", "replicate") for name, fields in _BAD_RUN_FIELDS.items()]
+              + [pytest.param("analyze", {"sector": sector}, id=f"analyze-{name}")
+                 for name, sector in _BAD_SECTORS.items()])
+
+
+@pytest.mark.parametrize("command, fields", _MALFORMED)
+def test_malformed_config_value_exits_2(tmp_path, command, fields):
+    mapping = {"out": str(tmp_path / "out")}
+    if command != "analyze":
+        mapping.update(true_model=TRUE_MODEL, init=ORTHO_INIT, n_samples=60, instances=2,
+                       tol=1e-6)
+    if command == "fit":
+        mapping["dataset"] = make_dataset_file(tmp_path, n=60)
+    cfg = write_config(tmp_path / "c.json", **{**mapping, **fields})
+    assert main([command, "--config", cfg]) == 2
+
+
+def test_analyze_rejects_a_dataset_as_trace(tmp_path):
+    # three columns like a trace, but no trace header: its first sample
+    # must not be skipped as one
+    cfg = write_config(tmp_path / "gen.json", true_model={
+        "K": 1, "m": 3, "alpha": [1.0], "mu": [[0.0, 0.0, 0.0]],
+        "sigma": [np.eye(3).tolist()]}, n_samples=30, seed=5, out=str(tmp_path / "gen"))
+    assert main(["generate", "--config", cfg]) == 0
+    assert main(["analyze", "--trace", str(tmp_path / "gen" / "dataset.csv"),
+                 "--out", str(tmp_path / "a")]) == 2
+    assert not (tmp_path / "a" / "analysis.json").exists()
+
+
 # ---------------------------------------------------------------- plumbing
 
 def test_bad_arguments_exit_code():

@@ -103,11 +103,14 @@ def test_params_rejects_nonfinite():
 def test_layout_sizes_and_blocks():
     lay = VectorLayout(2, 3)
     assert lay.size == 2 + 6 + 18
-    assert lay.weight_block == slice(0, 2)
-    assert lay.mean_block == slice(2, 8)
-    assert lay.cov_block == slice(8, 26)
-    assert lay.mean_slice(1) == slice(5, 8)
-    assert lay.cov_slice(1) == slice(17, 26)
+    # blocks of the coordinate indices: weights 0-1, means 2-7 (component
+    # 1 at 5-7), column-stacked covariances 8-25 (component 1 at 17-25)
+    w, mu, cv = lay.split(np.arange(26.0))
+    assert w.tolist() == [0.0, 1.0]
+    assert mu.ravel().tolist() == list(range(2, 8))
+    assert mu[1].tolist() == [5.0, 6.0, 7.0]
+    assert cv.transpose(0, 2, 1).ravel().tolist() == list(range(8, 26))
+    assert cv[1].T.ravel().tolist() == list(range(17, 26))
 
 
 def test_vector_encodes_covariances_column_stacked():
@@ -146,8 +149,9 @@ def test_split_rejects_wrong_length():
 
 def test_from_vector_symmetrize_repairs_roundoff():
     p = make_params(np.random.default_rng(3), 2, 2)
-    vec = p.to_vector()
-    vec[p.layout.cov_slice(0).start + 1] += 1e-9  # perturb one off-diagonal
+    w, mu, cv = p.layout.split(p.to_vector())
+    cv[0, 1, 0] += 1e-9  # perturb one off-diagonal
+    vec = p.layout.join(w, mu, cv)
     with pytest.raises(InvalidCovarianceError):
         GmmParams.from_vector(vec, 2, 2)
     # the caller repairs it: symmetrize the covariance blocks, then rebuild

@@ -69,8 +69,8 @@ def test_mean_and_cov_blocks_positive_definite():
     full = dense(pre.apply, p.layout.size)
     for j in range(2):
         assert np.all(np.linalg.eigvalsh(pre.p_means[j]) > 0)
-        s = p.layout.cov_slice(j)
-        pc = full[s, s]
+        start = 2 + 2 * 3 + j * 3 * 3  # covariance j in the flat layout, K=2, m=3
+        pc = full[start:start + 9, start:start + 9]
         assert np.allclose(pc, pc.T, rtol=0, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(pc) > 0)
 
@@ -80,14 +80,16 @@ def test_structural_apply_matches_assembled_matrix():
     p = make_params(rng, 2, 2)
     x = make_dataset(rng, 15, 2)
     pre = build_preconditioner(p, x)
-    # the block formulas: weights, C_j / S_j, 2 (C_j (x) C_j) / S_j
-    lay = p.layout
-    full = np.zeros((lay.size, lay.size))
-    full[lay.weight_block, lay.weight_block] = pre.p_weights
+    # the block formulas: weights, C_j / S_j, 2 (C_j (x) C_j) / S_j, at
+    # the flat offsets for K=2, m=2: weights 0-1, mean j at 2+2j,
+    # covariance j at 6+4j
+    full = np.zeros((p.layout.size, p.layout.size))
+    full[:2, :2] = pre.p_weights
     for j in range(2):
         c, s_j = pre.covs[j], pre.counts[j]
-        full[lay.mean_slice(j), lay.mean_slice(j)] = c / s_j
-        full[lay.cov_slice(j), lay.cov_slice(j)] = 2.0 * np.kron(c, c) / s_j
+        mean, cov = slice(2 + 2 * j, 4 + 2 * j), slice(6 + 4 * j, 10 + 4 * j)
+        full[mean, mean] = c / s_j
+        full[cov, cov] = 2.0 * np.kron(c, c) / s_j
     assert np.allclose(full, full.T, rtol=0, atol=1e-12)
     for seed in range(3):
         v = np.random.default_rng(seed).normal(size=p.layout.size)
@@ -150,7 +152,7 @@ def test_projection_matrix_symmetric_idempotent():
     lay = VectorLayout(3, 2)
     mat = dense(lambda v: apply_projection(v, lay), lay.size)
     expected = np.eye(lay.size)
-    expected[lay.weight_block, lay.weight_block] = np.eye(3) - np.full((3, 3), 1.0 / 3.0)
+    expected[:3, :3] = np.eye(3) - np.full((3, 3), 1.0 / 3.0)  # the weight block
     assert np.allclose(mat, expected, rtol=0, atol=1e-15)
     assert np.array_equal(mat, mat.T)
     assert np.allclose(mat @ mat, mat, rtol=0, atol=1e-12)

@@ -188,13 +188,12 @@ def test_gradient_vanishes_at_single_component_optimum():
     rng = np.random.default_rng(59)
     x = make_dataset(rng, 30, 2)
     p = em_step(GmmParams([1.0], [[0.0, 0.0]], [np.eye(2)]), x)
-    g = grad_log_likelihood(p, x)
-    lay = p.layout
+    g_w, g_mu, g_cv = p.layout.split(grad_log_likelihood(p, x))
     # the weight partial is N (mass over a weight of 1), not zero; the
     # constrained directions are killed downstream by the projection
-    assert g[lay.weight_block][0] == pytest.approx(30.0, rel=1e-12)
-    assert np.max(np.abs(g[lay.mean_block])) < 2e-10
-    assert np.max(np.abs(g[lay.cov_block])) < 2e-10
+    assert g_w[0] == pytest.approx(30.0, rel=1e-12)
+    assert np.max(np.abs(g_mu)) < 2e-10
+    assert np.max(np.abs(g_cv)) < 2e-10
 
 
 def test_gradient_weight_block_equal_under_mirror_symmetry():
@@ -238,7 +237,7 @@ def test_grad_ascent_leaves_stationary_blocks_in_place():
     eta = 0.5
     vec = p.to_vector()
     out = vec + eta * grad_log_likelihood(p, x)
-    lay = p.layout
-    assert np.allclose(out[lay.mean_block], vec[lay.mean_block], rtol=0, atol=1e-10)
-    assert np.allclose(out[lay.cov_block], vec[lay.cov_block], rtol=0, atol=1e-10)
+    _, out_mu, out_cv = p.layout.split(out)
+    assert np.allclose(out_mu, p.means, rtol=0, atol=1e-10)
+    assert np.allclose(out_cv, p.covs, rtol=0, atol=1e-10)
     assert out[0] == pytest.approx(1.0 + eta * 30.0, rel=1e-12)

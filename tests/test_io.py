@@ -191,6 +191,17 @@ def test_load_trace_checks_column_count(tmp_path):
     assert TRACE_HEADER in str(err.value)
 
 
+def test_load_trace_requires_the_header(tmp_path):
+    # a three-column file without the header is not a trace, even though
+    # its column count matches
+    for first in ("0.5,-1.0,2.0", "a,b,c"):
+        path = tmp_path / "headless.csv"
+        path.write_text(f"{first}\n1.0,-0.5,0.25\n2.0,-0.25,0.125\n")
+        with pytest.raises(ValidationError, match="header") as err:
+            load_trace_csv(path)
+        assert TRACE_HEADER in str(err.value)
+
+
 def test_load_trace_missing_file(tmp_path):
     with pytest.raises(ValidationError, match="not found"):
         load_trace_csv(tmp_path / "none.csv")
