@@ -1,14 +1,19 @@
 """Command-line interface.
 
-Subcommands: generate, fit, replicate, analyze.  Every flag stores into
-the config field of its ``dest`` and overrides that field of the JSON
-config given with --config.  ``--algo`` takes the names in
-:data:`~gemgmm.dynamics.ALGORITHMS`, hyphenated.
+Subcommands: generate, fit, replicate, analyze.  Every flag stores its
+text into the config field of its ``dest`` and overrides that field of
+the JSON config given with --config; ``--beta`` and ``--inset`` only
+split theirs on ``,`` and ``:``.  The CLI converts no value:
+:meth:`~gemgmm.experiments.ExperimentConfig.from_mapping` reads flag
+text and JSON values by the same rules, with the same messages.
+``--algo`` takes the names in :data:`~gemgmm.dynamics.ALGORITHMS`,
+hyphenated.
 
-Exit codes: 0 success; 2 configuration or validation problem; 3
-numerical failure (any :class:`~gemgmm.errors.NumericalError`:
-degenerate component, constraint violation, underflow); 4 the fit hit
-max_iters without converging.
+Exit codes: 0 success; 2 configuration or validation problem, a
+malformed flag value included; 3 numerical failure (any
+:class:`~gemgmm.errors.NumericalError`: degenerate component,
+constraint violation, underflow); 4 the fit hit max_iters without
+converging.
 """
 
 from __future__ import annotations
@@ -29,68 +34,38 @@ EXIT_NO_CONVERGENCE = 4
 _ALGO_CHOICES = tuple(a.replace("_", "-") for a in ALGORITHMS)
 
 
-def _parse_beta(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-
-
-def _parse_inset(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numeric A:B, got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gemgmm",
         description="Gaussian mixture estimation via preconditioned, "
                     "projected generalized EM updates")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    gen, fit, rep, ana = (sub.add_parser(name, help=text) for name, text in (
+        ("generate", "sample a dataset from a true model"),
+        ("fit", "run one algorithm on a dataset"),
+        ("replicate", "paired replication study over fresh datasets"),
+        ("analyze", "rate certificate / jacobian spectrum / empirical rate")))
+    for p in (gen, fit, rep, ana):
         p.add_argument("--config", metavar="PATH", help="JSON config; flags override fields")
-        p.add_argument("--seed", type=int, metavar="INT")
+        p.add_argument("--seed", metavar="INT")
         p.add_argument("--out", metavar="DIR", help="output directory")
-
-    gen = sub.add_parser("generate", help="sample a dataset from a true model")
-    common(gen)
-
-    fit = sub.add_parser("fit", help="run one algorithm on a dataset")
-    common(fit)
-    fit.add_argument("--dataset", metavar="PATH", help="dataset CSV")
-    fit.add_argument("--algo", dest="algorithm", choices=_ALGO_CHOICES)
-    fit.add_argument("--beta", type=_parse_beta, metavar="B1,B2,...",
-                     help="per-component mean step factors (w-pb-gem)")
-    fit.add_argument("--tol", type=float, metavar="FLOAT",
-                     help="relative log-likelihood tolerance (default 1e-10)")
-    fit.add_argument("--max-iters", type=int, metavar="INT", help="default 10000")
-    fit.add_argument("--plot", action="store_true", default=None)
-    fit.add_argument("--inset", type=_parse_inset, metavar="A:B",
-                     help="iteration window for the plot inset")
-
-    rep = sub.add_parser("replicate", help="paired replication study over fresh datasets")
-    common(rep)
-    rep.add_argument("--instances", type=int, metavar="INT")
-    rep.add_argument("--beta", type=_parse_beta, metavar="B1,B2,...")
-    rep.add_argument("--tol", type=float, metavar="FLOAT")
-    rep.add_argument("--max-iters", type=int, metavar="INT")
-    rep.add_argument("--plot", action="store_true", default=None)
-    rep.add_argument("--inset", type=_parse_inset, metavar="A:B")
-
-    ana = sub.add_parser("analyze", help="rate certificate / jacobian spectrum / empirical rate")
-    common(ana)
+    for p in (fit, ana):
+        p.add_argument("--dataset", metavar="PATH", help="dataset CSV")
+        p.add_argument("--algo", dest="algorithm", choices=_ALGO_CHOICES)
+    for p in (fit, rep, ana):
+        p.add_argument("--beta", type=lambda text: text.split(","), metavar="B1,B2,...",
+                       help="per-component mean step factors (w-pb-gem)")
+    for p in (fit, rep):
+        p.add_argument("--tol", metavar="FLOAT",
+                       help="relative log-likelihood tolerance (default 1e-10)")
+        p.add_argument("--max-iters", metavar="INT", help="default 10000")
+        p.add_argument("--plot", action="store_true", default=None)
+        p.add_argument("--inset", type=lambda text: text.split(":"), metavar="A:B",
+                       help="iteration window for the plot inset")
+    rep.add_argument("--instances", metavar="INT")
     ana.add_argument("params_file", nargs="?", metavar="PARAMS.json",
                      help="fitted parameters to analyze")
-    ana.add_argument("--dataset", metavar="PATH")
     ana.add_argument("--trace", metavar="PATH", help="trace CSV for the empirical rate")
-    ana.add_argument("--algo", dest="algorithm", choices=_ALGO_CHOICES)
-    ana.add_argument("--beta", type=_parse_beta, metavar="B1,B2,...")
     return ap
 
 

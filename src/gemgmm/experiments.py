@@ -30,13 +30,12 @@ DEFAULT_BETA = 0.996
 DEFAULT_GRID_RESOLUTION = 1e-3
 DEFAULT_FD_STEP = 1e-6
 
-# Fields annotated ``int`` or ``float`` are coerced to that type.
-_NUMERIC_KINDS = {int: "an integer", float: "a number"}
-
-# Fields taken as given, which must hold their annotated type: the
-# objects and the paths.
-_TYPED_FIELDS = {"init": "an object", "sector": "an object", "out": "a string",
-                 "dataset": "a string", "params_file": "a string", "trace": "a string"}
+# What a value given for a field of each annotation must be.  An int or
+# float field coerces numbers and numeric strings, but not a bool, and an
+# int field only integral numbers; a bool field takes true/false or 0/1 as
+# given; the others must hold their type.
+_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string", str | None: "a string", dict | None: "an object"}
 
 
 def _numbers(values, field: str, what: str = "a list of numbers",
@@ -86,17 +85,21 @@ class ExperimentConfig:
             raise ValidationError(f"unknown config keys: {unknown}")
         cfg = cls(**mapping)
         hints = get_type_hints(cls)
-        for name, what in _TYPED_FIELDS.items():
-            if not isinstance(getattr(cfg, name), hints[name]):
-                raise ValidationError(f"config field {name!r} must be {what}")
-        for name, kind in hints.items():
-            if kind in _NUMERIC_KINDS:
-                try:
-                    setattr(cfg, name, kind(getattr(cfg, name)))
-                except (TypeError, ValueError):
-                    raise ValidationError(
-                        f"config field {name!r} must be {_NUMERIC_KINDS[kind]}")
-        cfg.algorithm = str(cfg.algorithm).replace("-", "_")
+        for name, value in mapping.items():
+            kind = hints[name]
+            try:
+                if kind in (int, float):
+                    number = kind(value)
+                    if isinstance(value, bool) or (kind is int and not isinstance(value, str)
+                                                   and number != value):
+                        raise ValueError(value)
+                    setattr(cfg, name, number)
+                elif kind in _KINDS and not (value in (True, False) if kind is bool
+                                             else isinstance(value, kind)):
+                    raise TypeError(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"config field {name!r} must be {_KINDS[kind]}")
+        cfg.algorithm = cfg.algorithm.replace("-", "_")
         if cfg.algorithm not in ALGORITHMS:
             raise ValidationError(
                 f"unknown algorithm {cfg.algorithm!r}, expected one of {ALGORITHMS}")

@@ -10,7 +10,7 @@ import pytest
 
 import gemgmm
 from gemgmm import GmmParams, ValidationError, experiments
-from gemgmm.cli import main
+from gemgmm.cli import _build_config, build_parser, main
 from gemgmm.experiments import ExperimentConfig, orthogonal_line_init
 from gemgmm.io import load_dataset, load_params, load_trace_csv, save_dataset, save_params
 
@@ -59,10 +59,10 @@ def test_config_coercion_and_algorithm_normalization():
 @pytest.mark.parametrize("name", ["n_samples", "max_iters", "seed", "instances",
                                   "seed_stride"])
 def test_config_integer_fields_coerce(name):
-    for raw, want in (("12", 12), (3.0, 3), (7.9, 7), (True, 1)):
+    for raw, want in (("12", 12), (3.0, 3)):
         value = getattr(ExperimentConfig.from_mapping({name: raw}), name)
         assert type(value) is int and value == want
-    for bad in ("1e3", "many", None, [1]):
+    for bad in ("1e3", "many", None, [1], 7.9, True):
         with pytest.raises(ValidationError, match=f"^config field '{name}' must be an integer$"):
             ExperimentConfig.from_mapping({name: bad})
 
@@ -72,7 +72,7 @@ def test_config_number_fields_coerce(name):
     for raw, want in (("1e-3", 1e-3), (2, 2.0), (" 0.5 ", 0.5)):
         value = getattr(ExperimentConfig.from_mapping({name: raw}), name)
         assert type(value) is float and value == want
-    for bad in ("tight", None, [1.0]):
+    for bad in ("tight", None, [1.0], True):
         with pytest.raises(ValidationError, match=f"^config field '{name}' must be a number$"):
             ExperimentConfig.from_mapping({name: bad})
 
@@ -96,6 +96,46 @@ def test_config_leaves_other_fields_uncoerced():
 def test_config_validation_failures(mapping):
     with pytest.raises(ValidationError):
         ExperimentConfig.from_mapping(mapping)
+
+
+# Each flag with the JSON form of its value: both go through from_mapping.
+_FLAG_FORMS = {
+    "seed": (["generate", "--seed", "8"], {"seed": 8}),
+    "tol": (["fit", "--tol", "1e-8"], {"tol": 1e-8}),
+    "max-iters": (["replicate", "--max-iters", "200"], {"max_iters": 200}),
+    "instances": (["replicate", "--instances", "3"], {"instances": 3}),
+    "beta": (["analyze", "--beta", "0.9,0.8"], {"beta": [0.9, 0.8]}),
+    "inset": (["fit", "--inset", "0:40"], {"inset": [0, 40]}),
+    "plot": (["replicate", "--plot"], {"plot": True}),
+    "algo": (["analyze", "--algo", "w-pb-gem"], {"algorithm": "w-pb-gem"}),
+    "dataset": (["fit", "--dataset", "d.csv"], {"dataset": "d.csv"}),
+    "trace": (["analyze", "--trace", "t.csv"], {"trace": "t.csv"}),
+    "params-file": (["analyze", "fitted.json"], {"params_file": "fitted.json"}),
+    "out": (["generate", "--out", "runs"], {"out": "runs"}),
+}
+
+
+@pytest.mark.parametrize("argv, fields", _FLAG_FORMS.values(), ids=_FLAG_FORMS)
+def test_flag_reaches_its_config_field_as_json_does(argv, fields):
+    from_flags = _build_config(build_parser().parse_args(argv))
+    from_json = ExperimentConfig.from_mapping(json.loads(json.dumps(fields)))
+    default = ExperimentConfig()
+    for name in ExperimentConfig.__dataclass_fields__:
+        flag_value, json_value = getattr(from_flags, name), getattr(from_json, name)
+        assert flag_value == json_value and type(flag_value) is type(json_value), name
+        assert (json_value != getattr(default, name)) == (name in fields), name
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["fit", "--beta", "a,b"], "beta"),
+    (["replicate", "--inset", "1:2:3"], "inset"),
+    (["generate", "--seed", "x"], "seed"),
+    (["fit", "--tol", "tight"], "tol"),
+    (["replicate", "--max-iters", "2.5"], "max_iters"),
+])
+def test_malformed_flag_value_exits_2(argv, field, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: config field {field!r} must be")
 
 
 # ------------------------------------------------------------ line init
@@ -500,6 +540,10 @@ _BAD_RUN_FIELDS = {
     "out-number": {"out": 5},
     "distance-string": {"init": {"kind": "orthogonal-line", "distance": "abc"}},
     "beta-string": {"algorithm": "w-pb-gem", "beta": "12"},
+    "header-string": {"header": "false"},
+    "plot-string": {"plot": "no"},
+    "header-null": {"header": None},
+    "seed-infinite": {"seed": math.inf},
 }
 _BAD_SECTORS = {
     "sector-non-numeric": {"m_lo": "x", "L_hi": 1},
