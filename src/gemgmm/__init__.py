@@ -13,7 +13,6 @@ from .analysis import (
     RateCertificate,
     SectorBounds,
     empirical_rate,
-    lmi_check,
     lmi_matrix,
     rate_bound,
     rate_certificate,
@@ -24,9 +23,7 @@ from .core import (
     GmmParams,
     VectorLayout,
     as_dataset,
-    component_density,
     log_likelihood,
-    q_function,
     responsibilities,
     sample,
 )

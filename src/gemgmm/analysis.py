@@ -4,8 +4,10 @@ The rate machinery treats the update as a fixed-step ascent whose step
 field is sector bounded between ``m_lo`` (strong monotonicity) and
 ``L_hi`` (Lipschitz).  A per-iteration contraction factor ``mu`` is
 certified by a 2x2 linear matrix inequality; its closed-form optimum is
-``max(|1 - m_lo|, |1 - L_hi|)``, and the grid search here cross-checks
-that closed form through the LMI route rather than reusing it.
+``max(|1 - m_lo|, |1 - L_hi|)``, and :func:`rate_certificate`
+cross-checks that closed form through the LMI route rather than reusing
+it, on a grid of spacing ``GRID_RESOLUTION``.  :func:`update_map_jacobian`
+differentiates an update map by central differences of step ``FD_STEP``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ from .errors import GemGmmError, StepFailure, ValidationError
 # Negative semidefiniteness is decided by an eigenvalue test with this
 # much slack; the matrix is 2x2, so no external solver is involved.
 LMI_TOL = 1e-10
+
+# The LMI grid spacing and the central-difference step are fixed;
+# analysis.json records both next to the results they produced.
+GRID_RESOLUTION = 1e-3
+FD_STEP = 1e-6
 
 # Reporting conventions for the spectral classification; the thresholds
 # are package conventions, not derived quantities.
@@ -79,29 +86,17 @@ def lmi_matrix(mu: float, lam: float, bounds: SectorBounds) -> np.ndarray:
     ])
 
 
-def lmi_check(mu: float, lam: float, bounds: SectorBounds) -> bool:
-    """True iff the rate LMI holds at (mu, lam): matrix NSD within LMI_TOL.
-
-    Equivalent to the scalar conditions ``lam >= 1/2`` together with
-    ``mu^2 >= 1 - 2*m*L*lam - (lam*(L+m) - 1)^2 / (1 - 2*lam)``.
-    """
-    if not 0.0 <= mu < 1.0:
-        raise ValidationError(f"mu must lie in [0, 1), got {mu}")
-    top = float(np.linalg.eigvalsh(lmi_matrix(mu, lam, bounds))[-1])
-    return top <= LMI_TOL
-
-
-def rate_certificate(bounds: SectorBounds, resolution: float = 1e-3) -> RateCertificate:
+def rate_certificate(bounds: SectorBounds) -> RateCertificate:
     """Grid search for the smallest mu that some multiplier certifies.
 
     Scans mu upward over ``[0, 1)`` and takes the first (mu, lam) grid
-    point passing the LMI, with lam over ``[0.5, 5]``; infeasible when
-    no grid point does (the bounds lie outside the contractive regime).
+    point passing the LMI (top eigenvalue at most ``LMI_TOL``), with lam
+    over ``[0.5, 5]``, both in steps of ``GRID_RESOLUTION``; infeasible
+    when no grid point does (the bounds lie outside the contractive
+    regime).
     """
-    if not resolution > 0.0:
-        raise ValidationError(f"grid resolution must be positive, got {resolution}")
-    mus = np.arange(0.0, 1.0, resolution)
-    lams = np.arange(0.5, 5.0 + 0.5 * resolution, resolution)
+    mus = np.arange(0.0, 1.0, GRID_RESOLUTION)
+    lams = np.arange(0.5, 5.0 + 0.5 * GRID_RESOLUTION, GRID_RESOLUTION)
     # Batched top eigenvalue of [[a, b], [b, d]] across the lambda grid.
     (a0, b), (_, d) = lmi_matrix(0.0, lams, bounds)
     for mu in mus:
@@ -129,9 +124,9 @@ def _probe_directions(layout):
 
 
 def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
-                        fd_step: float = 1e-6,
                         design: MeanStepWeights | None = None) -> JacobianReport:
-    """Central finite-difference Jacobian of an update map at ``params``.
+    """Central finite-difference Jacobian of an update map at ``params``,
+    with step ``FD_STEP``.
 
     ``algorithm`` is one of :data:`~gemgmm.dynamics.ALGORITHMS`
     (``"w_pb_gem"`` with ``design``), or a callable ``(params, data) ->
@@ -144,8 +139,6 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
     moduli near 0 mean the map forgets its input like a Newton step;
     moduli near 1 mean first-order behavior.
     """
-    if not fd_step > 0.0:
-        raise ValidationError(f"fd_step must be positive, got {fd_step}")
     step = _step_for(algorithm, design)
     samples = Dataset(data, params.n_features)
     layout = params.layout
@@ -157,15 +150,15 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
             jac[:, idx] = 0.0
             continue
         try:
-            plus = step(GmmParams.from_vector(base + fd_step * direction, k, m), samples).to_vector()
-            minus = step(GmmParams.from_vector(base - fd_step * direction, k, m), samples).to_vector()
+            plus = step(GmmParams.from_vector(base + FD_STEP * direction, k, m), samples).to_vector()
+            minus = step(GmmParams.from_vector(base - FD_STEP * direction, k, m), samples).to_vector()
         except GemGmmError as err:
             # a custom map may call run: re-raise a StepFailure as its root cause's class
             cause = err
             while isinstance(cause, StepFailure):
                 cause = cause.cause
             raise type(cause)(f"update step failed at perturbation {idx}: {err}") from err
-        jac[:, idx] = (plus - minus) / (2.0 * fd_step)
+        jac[:, idx] = (plus - minus) / (2.0 * FD_STEP)
     moduli = np.sort(np.abs(np.linalg.eigvals(jac)))[::-1]
     top = moduli[0]
     if top < NEWTON_LIKE_MAX_MODULUS:

@@ -1,4 +1,4 @@
-"""Gaussian mixture model parameters, densities, and seeded sampling.
+"""Gaussian mixture model parameters, the E-pass, and seeded sampling.
 
 Parameters are held both structured (:class:`GmmParams`) and as a flat
 vector whose block order is ``[weights; means; vec(covs)]`` with ``vec``
@@ -8,6 +8,8 @@ components in ``m`` dimensions the vector has length ``K + m*K + m*m*K``.
 
 All densities are evaluated in log space and combined with log-sum-exp,
 so likelihoods stay finite even for points far from every component.
+One log-density pass, the E-pass, gives the log-likelihood and the
+responsibilities together.
 
 Data layout.  The public functions take samples as an (N, m) array, one
 sample per row (:func:`as_dataset` returns that form), and give
@@ -286,16 +288,6 @@ def _estep(params: GmmParams, xt: np.ndarray) -> tuple[float, np.ndarray]:
     return float(lse.sum()), dens
 
 
-def component_density(params: GmmParams, j: int, x: np.ndarray) -> float:
-    """Weighted density of component ``j`` at a single point:
-    ``w_j * det(2*pi*cov_j)**-0.5 * exp(-0.5 * d' inv(cov_j) d)``.
-    """
-    if not 0 <= j < params.n_components:
-        raise ValidationError(f"component index {j} out of range for K={params.n_components}")
-    xt = _feature_major(np.asarray(x, dtype=float).reshape(1, -1), params.n_features)
-    return float(np.exp(_log_weighted_densities(params, xt)[j, 0]))
-
-
 def log_likelihood(params: GmmParams, data) -> float:
     """Sum over samples of the log mixture density."""
     return _estep(params, _feature_major(data, params.n_features))[0]
@@ -307,24 +299,6 @@ def responsibilities(params: GmmParams, data) -> np.ndarray:
     The result is the transpose view of the internal (K, N) array.
     """
     return _estep(params, _feature_major(data, params.n_features))[1].T
-
-
-def q_function(params: GmmParams, params_prev: GmmParams, data: np.ndarray) -> float:
-    """Expected complete-data log-likelihood.
-
-    Membership posteriors are taken at ``params_prev``, the weighted
-    log-densities at ``params``.  One update step that increases this
-    value (a generalized M-step) cannot decrease the log-likelihood.
-    """
-    xt = _feature_major(data, params.n_features)
-    h = _estep(params_prev, xt)[1]
-    lw = _log_weighted_densities(params, xt)
-    with np.errstate(invalid="ignore"):
-        terms = np.where(h > 0.0, h * lw, 0.0)
-    total = float(terms.sum())
-    if not np.isfinite(total):
-        raise NumericUnderflowError("expected complete-data log-likelihood is not finite")
-    return total
 
 
 def sample(params: GmmParams, n: int, seed: int) -> np.ndarray:

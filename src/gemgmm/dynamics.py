@@ -28,7 +28,9 @@ shifted-covariance EM increment,
 
 is kept as :class:`Preconditioner`, :func:`build_preconditioner` and
 :func:`apply_projection`.  These are identities checked by the tests;
-they are not on the iteration path.
+they are not on the iteration path.  They and
+:func:`~gemgmm.engine.grad_log_likelihood` stay in the package only
+because the benchmark tracer (``perfbench/tracing.py``) names them.
 
 :func:`_step_for` is the one place that turns an algorithm name (and a
 design, for ``w_pb_gem``) or a custom map into its step; :func:`run` and
@@ -87,10 +89,9 @@ class Preconditioner:
         return self.layout.join(out_w, out_mu, out_cv)
 
 
-def build_preconditioner(params: GmmParams, data,
-                         resp: np.ndarray | None = None) -> Preconditioner:
+def build_preconditioner(params: GmmParams, data) -> Preconditioner:
     """Evaluate the preconditioner blocks at ``params``."""
-    xt, rt = _e_inputs(params, data, resp)
+    xt, rt = _e_inputs(params, data, None)
     counts = soft_counts(rt.T)
     n = xt.shape[1]
     w = params.weights

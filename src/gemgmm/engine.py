@@ -83,8 +83,7 @@ def shifted_em_step(params: GmmParams, data, resp: np.ndarray | None = None) -> 
     return GmmParams(*_m_step(params, *_e_inputs(params, data, resp), shifted=True))
 
 
-def grad_log_likelihood(params: GmmParams, data,
-                        resp: np.ndarray | None = None) -> np.ndarray:
+def grad_log_likelihood(params: GmmParams, data) -> np.ndarray:
     """Gradient of the log-likelihood in the flat parameter layout.
 
     The weight block holds the unconstrained partials (sum constraint is
@@ -95,7 +94,7 @@ def grad_log_likelihood(params: GmmParams, data,
     - d/dvec(C_j) = 0.5 vec(inv(C_j) M_j inv(C_j) - (sum_t h_j(t)) inv(C_j)),
       M_j = sum_t h_j(t) (x_t - mean_j)(x_t - mean_j)'
     """
-    xt, rt = _e_inputs(params, data, resp)
+    xt, rt = _e_inputs(params, data, None)
     k, m = params.n_components, params.n_features
     counts = rt.sum(axis=1)
     g_w = counts / params.weights

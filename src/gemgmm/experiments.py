@@ -18,7 +18,8 @@ from typing import get_type_hints
 import numpy as np
 
 from . import io
-from .analysis import SectorBounds, empirical_rate, rate_bound, rate_certificate, update_map_jacobian
+from .analysis import (FD_STEP, GRID_RESOLUTION, SectorBounds, empirical_rate, rate_bound,
+                       rate_certificate, update_map_jacobian)
 from .core import GmmParams, sample
 from .dynamics import ALGORITHMS, MeanStepWeights, RunTrace, run
 from .errors import StepFailure, ValidationError
@@ -27,8 +28,6 @@ from .svgplot import line_plot
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_BETA = 0.996
-DEFAULT_GRID_RESOLUTION = 1e-3
-DEFAULT_FD_STEP = 1e-6
 
 # What a value given for a field of each annotation must be.  An int or
 # float field coerces numbers and numeric strings, but not a bool, and an
@@ -43,8 +42,9 @@ def _numbers(values, field: str, what: str = "a list of numbers",
     """``values`` as floats, or a ValidationError saying that config
     ``field`` must be ``what``.  Only a list or tuple (a JSON array, or
     what the CLI parses) passes, of ``size`` entries when given, so a
-    string is never read as its characters."""
-    if isinstance(values, (list, tuple)) and size in (None, len(values)):
+    string is never read as its characters, nor a boolean as 0 or 1."""
+    if (isinstance(values, (list, tuple)) and size in (None, len(values))
+            and not any(isinstance(v, bool) for v in values)):
         try:
             return [float(v) for v in values]
         except (TypeError, ValueError):
@@ -74,8 +74,6 @@ class ExperimentConfig:
     params_file: str | None = None
     trace: str | None = None
     sector: dict | None = None
-    fd_step: float = DEFAULT_FD_STEP
-    grid_resolution: float = DEFAULT_GRID_RESOLUTION
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -373,12 +371,12 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
             raise ValidationError("sector must be an object with keys 'm_lo' and 'L_hi'")
         bounds = SectorBounds(*_numbers([config.sector["m_lo"], config.sector["L_hi"]],
                                         "sector", "an object with numeric 'm_lo' and 'L_hi'"))
-        cert = rate_certificate(bounds, config.grid_resolution)
+        cert = rate_certificate(bounds)
         report["rate"] = {
             "m_lo": bounds.m_lo,
             "L_hi": bounds.L_hi,
             "rate_bound": rate_bound(bounds),
-            "grid_resolution": config.grid_resolution,
+            "grid_resolution": GRID_RESOLUTION,
             "certificate": {
                 "mu_bound": cert.mu_bound if cert.feasible else None,
                 "multiplier": cert.multiplier if cert.feasible else None,
@@ -391,11 +389,10 @@ def cmd_analyze(config: ExperimentConfig) -> dict:
             raise ValidationError("jacobian analysis requires a dataset (config key 'dataset')")
         data = io.load_dataset(config.dataset, header=config.header)
         design = _design_for(config, config.algorithm, params.n_components)
-        jac = update_map_jacobian(params, data, config.algorithm,
-                                  fd_step=config.fd_step, design=design)
+        jac = update_map_jacobian(params, data, config.algorithm, design=design)
         report["jacobian"] = {
             "algorithm": config.algorithm,
-            "fd_step": config.fd_step,
+            "fd_step": FD_STEP,
             "classification": jac.classification,
             "max_modulus": float(jac.moduli[0]),
             "moduli": [float(v) for v in jac.moduli],

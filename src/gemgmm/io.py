@@ -45,6 +45,8 @@ def params_from_dict(spec: dict) -> GmmParams:
     if missing:
         raise ValidationError(f"parameter spec is missing keys {missing}")
     k, m = spec["K"], spec["m"]
+    if isinstance(k, bool) or isinstance(m, bool):
+        raise ValidationError(f"parameter spec K and m must be integers, got K={k!r}, m={m!r}")
     try:
         weights = np.asarray(spec["alpha"], dtype=float)
         means = np.asarray(spec["mu"], dtype=float)

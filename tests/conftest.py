@@ -5,7 +5,9 @@ flat parameter layout from scratch (plain loops, inv/det instead of
 Cholesky plus log-sum-exp) so tests do not lean on the code under test.
 ``reference_estep`` and ``reference_m_step`` are the per-component
 kernels written over sample-major (N, m) data, the reference for the
-package's feature-major (m, N) kernels.
+package's feature-major (m, N) kernels.  ``q_function`` (the EM
+surrogate that a GEM step increases) and ``lmi_check`` (the rate LMI at
+one grid point) are oracles for the steps and the rate certificate.
 """
 
 import math
@@ -13,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from gemgmm import GmmParams, core
+from gemgmm import GmmParams, NumericUnderflowError, ValidationError, core
+from gemgmm.analysis import LMI_TOL, SectorBounds, lmi_matrix
 
 
 def make_params(rng, k, m, spread=2.0):
@@ -146,6 +149,36 @@ def reference_m_step(params, x, resp, shifted):
         c = (resp[:, j, None] * d).T @ d / counts[j]
         covs[j] = 0.5 * (c + c.T)
     return counts / x.shape[0], means, covs
+
+
+def q_function(params, params_prev, data):
+    """Expected complete-data log-likelihood.
+
+    Membership posteriors are taken at ``params_prev``, the weighted
+    log-densities at ``params``.  One update step that increases this
+    value (a generalized M-step) cannot decrease the log-likelihood.
+    """
+    xt = core._feature_major(data, params.n_features)
+    h = core._estep(params_prev, xt)[1]
+    lw = core._log_weighted_densities(params, xt)
+    with np.errstate(invalid="ignore"):
+        terms = np.where(h > 0.0, h * lw, 0.0)
+    total = float(terms.sum())
+    if not np.isfinite(total):
+        raise NumericUnderflowError("expected complete-data log-likelihood is not finite")
+    return total
+
+
+def lmi_check(mu: float, lam: float, bounds: SectorBounds) -> bool:
+    """True iff the rate LMI holds at (mu, lam): matrix NSD within LMI_TOL.
+
+    Equivalent to the scalar conditions ``lam >= 1/2`` together with
+    ``mu^2 >= 1 - 2*m*L*lam - (lam*(L+m) - 1)^2 / (1 - 2*lam)``.
+    """
+    if not 0.0 <= mu < 1.0:
+        raise ValidationError(f"mu must lie in [0, 1), got {mu}")
+    top = float(np.linalg.eigvalsh(lmi_matrix(mu, lam, bounds))[-1])
+    return top <= LMI_TOL
 
 
 @pytest.fixture

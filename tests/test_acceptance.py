@@ -24,9 +24,7 @@ from gemgmm import (
     SectorBounds,
     build_preconditioner,
     grad_log_likelihood,
-    lmi_check,
     pb_gem_step,
-    q_function,
     rate_bound,
     rate_certificate,
     run,
@@ -37,7 +35,7 @@ from gemgmm import (
 from gemgmm.cli import main
 from gemgmm.experiments import orthogonal_line_init
 
-from conftest import fd_loglik_gradient, make_dataset, make_params
+from conftest import fd_loglik_gradient, lmi_check, make_dataset, make_params, q_function
 
 TRUTH = GmmParams([0.5, 0.5], [[1.0, 1.0], [-1.0, -1.0]],
                   [np.eye(2), np.eye(2)])
@@ -215,7 +213,7 @@ def test_rate_bound_grid_consistency():
     for m_lo in np.arange(0.1, 0.95, 0.1):
         for L_hi in np.arange(1.0, 1.95, 0.1):
             bounds = SectorBounds(float(m_lo), float(L_hi))
-            cert = rate_certificate(bounds, resolution=1e-3)
+            cert = rate_certificate(bounds)
             expected = rate_bound(bounds)
             assert cert.feasible, (m_lo, L_hi)
             got = cert.mu_bound

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gemgmm
-from gemgmm import GmmParams, ValidationError, experiments
+from gemgmm import GmmParams, ValidationError, analysis, experiments
 from gemgmm.cli import _build_config, build_parser, main
 from gemgmm.experiments import ExperimentConfig, orthogonal_line_init
 from gemgmm.io import load_dataset, load_params, load_trace_csv, save_dataset, save_params
@@ -43,6 +43,10 @@ def make_dataset_file(tmp_path, n=150, seed=11):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValidationError, match="unknown config keys"):
         ExperimentConfig.from_mapping({"n_samples": 10, "typo_key": 1})
+    # the finite-difference step and the LMI grid spacing are constants
+    for name in ("fd_step", "grid_resolution"):
+        with pytest.raises(ValidationError, match=rf"unknown config keys: \['{name}'\]"):
+            ExperimentConfig.from_mapping({name: 1e-3})
 
 
 def test_config_coercion_and_algorithm_normalization():
@@ -67,7 +71,7 @@ def test_config_integer_fields_coerce(name):
             ExperimentConfig.from_mapping({name: bad})
 
 
-@pytest.mark.parametrize("name", ["tol", "fd_step", "grid_resolution"])
+@pytest.mark.parametrize("name", ["tol"])
 def test_config_number_fields_coerce(name):
     for raw, want in (("1e-3", 1e-3), (2, 2.0), (" 0.5 ", 0.5)):
         value = getattr(ExperimentConfig.from_mapping({name: raw}), name)
@@ -447,15 +451,20 @@ def test_replicate_requires_two_instances(tmp_path):
 # ----------------------------------------------------------------- analyze
 
 def test_analyze_sector_report(tmp_path):
+    dataset = make_dataset_file(tmp_path, n=60)
     cfg = write_config(tmp_path / "a.json",
                        sector={"m_lo": 0.5, "L_hi": 1.5},
                        out=str(tmp_path / "a"))
-    assert main(["analyze", "--config", cfg]) == 0
+    assert main(["analyze", "--config", cfg, str(tmp_path / "gen" / "truth.json"),
+                 "--dataset", dataset]) == 0
     report = json.loads((tmp_path / "a" / "analysis.json").read_text())
     rate = report["rate"]
     assert rate["rate_bound"] == 0.5
     assert rate["certificate"]["feasible"] is True
     assert abs(rate["certificate"]["mu_bound"] - 0.5) <= 1e-3 + 1e-9
+    # the grid spacing and the probe step are constants, recorded in the report
+    assert rate["grid_resolution"] == analysis.GRID_RESOLUTION == 1e-3
+    assert report["jacobian"]["fd_step"] == analysis.FD_STEP == 1e-6
 
 
 def test_analyze_jacobian_and_trace(tmp_path):
@@ -540,6 +549,9 @@ _BAD_RUN_FIELDS = {
     "out-number": {"out": 5},
     "distance-string": {"init": {"kind": "orthogonal-line", "distance": "abc"}},
     "beta-string": {"algorithm": "w-pb-gem", "beta": "12"},
+    "beta-bool": {"algorithm": "w-pb-gem", "beta": [True, 1]},
+    "inset-bool": {"inset": [0, True]},
+    "distance-bool": {"init": {"kind": "orthogonal-line", "distance": True}},
     "header-string": {"header": "false"},
     "plot-string": {"plot": "no"},
     "header-null": {"header": None},
@@ -549,6 +561,7 @@ _BAD_SECTORS = {
     "sector-non-numeric": {"m_lo": "x", "L_hi": 1},
     "sector-null": {"m_lo": None, "L_hi": 1},
     "sector-list": ["m_lo", "L_hi"],
+    "sector-bool": {"m_lo": True, "L_hi": 1.5},
 }
 _MALFORMED = ([pytest.param(command, fields, id=f"{command}-{name}")
                for command in ("fit", "replicate") for name, fields in _BAD_RUN_FIELDS.items()]

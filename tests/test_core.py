@@ -10,13 +10,11 @@ from gemgmm import (
     SimplexViolationError,
     ValidationError,
     VectorLayout,
-    component_density,
     log_likelihood,
-    q_function,
     responsibilities,
     sample,
 )
-from gemgmm.core import _estep, as_dataset
+from gemgmm.core import Dataset, _estep, _log_weighted_densities, as_dataset
 from gemgmm.engine import em_step
 
 from conftest import (
@@ -26,6 +24,7 @@ from conftest import (
     naive_component_density,
     naive_loglik,
     naive_responsibilities,
+    q_function,
     reference_estep,
     theta_split,
 )
@@ -182,6 +181,13 @@ def test_as_dataset_checks_feature_count():
 
 # ---------------------------------------------------------------- density
 
+def component_density(params, j, x):
+    """Weighted density of component ``j`` at the point ``x``, from the
+    log-density kernel."""
+    xt = Dataset(np.reshape(x, (1, -1)), params.n_features).xt
+    return float(np.exp(_log_weighted_densities(params, xt)[j, 0]))
+
+
 def test_component_density_standard_bivariate_peak():
     p = GmmParams([1.0], [[0.0, 0.0]], [np.eye(2)])
     val = component_density(p, 0, [0.0, 0.0])
@@ -207,14 +213,6 @@ def test_component_density_matches_direct_formula():
             -0.5 * (x - p.means[j]) @ np.linalg.inv(p.covs[j]) @ (x - p.means[j])
         ) / math.sqrt(np.linalg.det(2.0 * math.pi * p.covs[j]))
         assert component_density(p, j, x) == pytest.approx(ref, rel=1e-12)
-
-
-def test_component_density_index_range():
-    p = GmmParams([1.0], [[0.0]], [np.eye(1)])
-    with pytest.raises(ValidationError):
-        component_density(p, 1, [0.0])
-    with pytest.raises(ValidationError):
-        component_density(p, -1, [0.0])
 
 
 # ----------------------------------------------------------- log-likelihood

@@ -71,6 +71,10 @@ def test_params_from_dict_malformed_arrays():
     spec = {"K": 1, "m": 1, "alpha": [1.0], "mu": [["x"]], "sigma": [[[1.0]]]}
     with pytest.raises(ValidationError):
         params_from_dict(spec)
+    # true == 1, but a boolean is not a component or feature count
+    for sizes in ({"K": True, "m": True}, {"K": True}, {"m": True}):
+        with pytest.raises(ValidationError, match="must be integers"):
+            params_from_dict({**spec, "mu": [[0.0]], **sizes})
 
 
 def test_load_params_missing_file(tmp_path):
