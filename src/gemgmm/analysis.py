@@ -38,15 +38,15 @@ FIRST_ORDER_MIN_MODULUS = 0.9
 
 @dataclass(frozen=True)
 class SectorBounds:
-    """Sector bounds on the step field: 0 < m_lo <= L_hi."""
+    """Sector bounds on the step field: 0 < m_lo <= L_hi, both finite."""
 
     m_lo: float
     L_hi: float
 
     def __post_init__(self):
-        if not (0.0 < self.m_lo <= self.L_hi):
+        if not (0.0 < self.m_lo <= self.L_hi < math.inf):
             raise ValidationError(
-                f"sector bounds need 0 < m_lo <= L_hi, got ({self.m_lo}, {self.L_hi})")
+                f"sector bounds need finite 0 < m_lo <= L_hi, got ({self.m_lo}, {self.L_hi})")
 
 
 @dataclass(frozen=True)

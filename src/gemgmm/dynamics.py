@@ -14,8 +14,8 @@ with ``beta_j = 1`` for :func:`pb_gem_step` and the design's factors for
 scan, and makes one log-density pass per iteration: the pass that
 scores the new iterate also yields the responsibilities that the next
 step consumes.  The loop keeps only the current iterate, its
-log-likelihood and its responsibilities; the flat vector is built only
-when ``snapshot_stride`` asks for it (by default, never).
+log-likelihood and its responsibilities, and records one
+:class:`TraceRecord` per iteration: one ``trace.csv`` row.
 
 The same step written as a projected preconditioned gradient step,
 
@@ -174,7 +174,7 @@ def _step_for(algorithm: str | Callable[..., GmmParams],
     (N, m) array.  The only place that checks the name and that a design
     is given exactly when the algorithm is ``w_pb_gem``.  Steps are
     looked up in this module when this is called, so a step rebound here
-    (by a tracer, say) is the one that runs.
+    (by a tracer or a test, say) is the one that runs.
     """
     if callable(algorithm):
         if design is not None:
@@ -196,13 +196,12 @@ class TraceRecord:
     """One iteration of a run (iteration 0 is the starting point).
 
     ``step_norm`` is the length of the change from the previous iterate
-    in the flat layout; ``snapshot`` is the flat iterate or None.
+    in the flat layout.
     """
 
     iteration: int
     loglik: float
     step_norm: float
-    snapshot: np.ndarray | None = None
 
 
 @dataclass
@@ -235,23 +234,19 @@ def _step_norm(new: GmmParams, cur: GmmParams) -> float:
 
 def run(params: GmmParams, data: np.ndarray, algorithm: str | Callable[..., GmmParams], *,
         design: MeanStepWeights | None = None, rel_ll_tol: float = 1e-10,
-        max_iters: int = 10_000, snapshot_stride: int | None = None) -> RunTrace:
+        max_iters: int = 10_000) -> RunTrace:
     """Iterate one of the update maps until the relative change of the
     log-likelihood drops below ``rel_ll_tol`` or ``max_iters`` is hit.
 
-    Records of iterations that are multiples of ``snapshot_stride``
-    (iteration 0 included) carry the flat iterate; with the default None
-    no record does.  A :class:`~gemgmm.errors.NumericalError` in a step
-    is raised as :class:`StepFailure`, carrying the partial trace and the
-    failing iteration index.
+    A :class:`~gemgmm.errors.NumericalError` in a step is raised as
+    :class:`StepFailure`, carrying the partial trace and the failing
+    iteration index.
     """
     step_fn = _step_for(algorithm, design)
     if not rel_ll_tol > 0.0:
         raise ValidationError(f"rel_ll_tol must be positive, got {rel_ll_tol}")
     if max_iters < 1:
         raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
-    if snapshot_stride is not None and snapshot_stride < 1:
-        raise ValidationError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
 
     samples = Dataset(data, params.n_features)
     t0 = time.perf_counter()
@@ -259,7 +254,7 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str | Callable[..., GmmP
     # One log-density pass per iterate: it scores the iterate and gives
     # the responsibilities that the next step starts from.
     loglik, rt = _estep(cur, samples.xt)
-    records = [TraceRecord(0, loglik, 0.0, cur.to_vector() if snapshot_stride else None)]
+    records = [TraceRecord(0, loglik, 0.0)]
     reason = "max_iters"
     for k in range(1, max_iters + 1):
         try:
@@ -268,8 +263,7 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str | Callable[..., GmmP
         except NumericalError as err:
             partial = RunTrace(records, "error", cur, algorithm, time.perf_counter() - t0)
             raise StepFailure(k, partial, err) from err
-        snap = new.to_vector() if snapshot_stride and k % snapshot_stride == 0 else None
-        records.append(TraceRecord(k, new_loglik, _step_norm(new, cur), snap))
+        records.append(TraceRecord(k, new_loglik, _step_norm(new, cur)))
         # Relative stopping rule; fall back to absolute change at L = 0.
         scale = abs(loglik) if loglik != 0.0 else 1.0
         converged = abs(new_loglik - loglik) < rel_ll_tol * scale

@@ -30,24 +30,36 @@ DEFAULT_MAX_ITERS = 10_000
 DEFAULT_BETA = 0.996
 
 # What a value given for a field of each annotation must be.  An int or
-# float field coerces numbers and numeric strings, but not a bool, and an
-# int field only integral numbers; a bool field takes true/false or 0/1 as
-# given; the others must hold their type.
+# float field takes what _number takes; a bool field takes true/false or
+# 0/1 as given; the others must hold their type.
 _KINDS = {int: "an integer", float: "a number", bool: "true or false",
           str: "a string", str | None: "a string", dict | None: "an object"}
 
 
+def _number(value, kind: type = float):
+    """``value``, a number or numeric string, as a finite ``kind`` (int
+    or float).  A bool is not a number here, and an int must be integral;
+    anything else raises TypeError, ValueError or OverflowError."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    number = kind(value)
+    if kind is float and not math.isfinite(number):
+        raise ValueError(value)
+    if kind is int and not isinstance(value, str) and number != value:
+        raise ValueError(value)
+    return number
+
+
 def _numbers(values, field: str, what: str = "a list of numbers",
              size: int | None = None) -> list[float]:
-    """``values`` as floats, or a ValidationError saying that config
-    ``field`` must be ``what``.  Only a list or tuple (a JSON array, or
-    what the CLI parses) passes, of ``size`` entries when given, so a
-    string is never read as its characters, nor a boolean as 0 or 1."""
-    if (isinstance(values, (list, tuple)) and size in (None, len(values))
-            and not any(isinstance(v, bool) for v in values)):
+    """``values`` as floats by :func:`_number`, or a ValidationError
+    saying that config ``field`` must be ``what``.  Only a list or tuple
+    (a JSON array, or what the CLI parses) passes, of ``size`` entries
+    when given, so a string is never read as its characters."""
+    if isinstance(values, (list, tuple)) and size in (None, len(values)):
         try:
-            return [float(v) for v in values]
-        except (TypeError, ValueError):
+            return [_number(v) for v in values]
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ValidationError(f"config field {field!r} must be {what}")
 
@@ -87,11 +99,7 @@ class ExperimentConfig:
             kind = hints[name]
             try:
                 if kind in (int, float):
-                    number = kind(value)
-                    if isinstance(value, bool) or (kind is int and not isinstance(value, str)
-                                                   and number != value):
-                        raise ValueError(value)
-                    setattr(cfg, name, number)
+                    setattr(cfg, name, _number(value, kind))
                 elif kind in _KINDS and not (value in (True, False) if kind is bool
                                              else isinstance(value, kind)):
                     raise TypeError(value)
@@ -104,7 +112,11 @@ class ExperimentConfig:
         if cfg.beta is not None:
             cfg.beta = _numbers(cfg.beta, "beta")
         if cfg.inset is not None:
-            cfg.inset = tuple(_numbers(cfg.inset, "inset", "a pair [start, stop]", size=2))
+            start, stop = _numbers(cfg.inset, "inset", "a pair [start, stop]", size=2)
+            if not start < stop:
+                raise ValidationError(f"config field 'inset' must be a pair [start, stop] "
+                                      f"with start < stop, got [{start!r}, {stop!r}]")
+            cfg.inset = (start, stop)
         return cfg
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import GmmParams, as_dataset
 from .dynamics import RunTrace
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 TRACE_HEADER = "iter,loglik,step_norm"
 
@@ -57,7 +57,12 @@ def params_from_dict(spec: dict) -> GmmParams:
         raise ValidationError(
             f"parameter arrays do not match K={k}, m={m}: "
             f"alpha {weights.shape}, mu {means.shape}, sigma {covs.shape}")
-    return GmmParams(weights, means, covs)
+    # Off-simplex weights or a covariance that is not positive definite
+    # are bad input here, not a failure of a computation.
+    try:
+        return GmmParams(weights, means, covs)
+    except NumericalError as err:
+        raise ValidationError(f"invalid parameter values: {err}") from err
 
 
 def save_json(path, obj) -> None:
@@ -115,13 +120,14 @@ def load_dataset(path, header: bool = False) -> np.ndarray:
 
 
 def save_trace_csv(path, trace: RunTrace) -> None:
-    """One row per record in TRACE_HEADER order; snapshots are not serialized."""
+    """One row per record, its fields in TRACE_HEADER order."""
     save_table(path, [TRACE_HEADER],
                ((r.iteration, float(r.loglik), float(r.step_norm)) for r in trace.records))
 
 
 def load_trace_csv(path) -> np.ndarray:
-    """(n, 3) array in TRACE_HEADER column order, from a file headed by TRACE_HEADER."""
+    """(n, 3) array in TRACE_HEADER column order, from a file headed by
+    TRACE_HEADER whose entries are all finite."""
     arr = _load_csv(path, "trace", 1)
     if arr.shape[1] != TRACE_HEADER.count(",") + 1:
         raise ValidationError(f"trace {path} has {arr.shape[1]} columns, expected {TRACE_HEADER}")
@@ -129,4 +135,6 @@ def load_trace_csv(path) -> np.ndarray:
         head = fh.readline().rstrip("\r\n")
     if head != TRACE_HEADER:
         raise ValidationError(f"trace {path} has header {head!r}, expected {TRACE_HEADER}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"trace {path} holds non-finite values")
     return arr

@@ -8,14 +8,16 @@ kernels written over sample-major (N, m) data, the reference for the
 package's feature-major (m, N) kernels.  ``q_function`` (the EM
 surrogate that a GEM step increases) and ``lmi_check`` (the rate LMI at
 one grid point) are oracles for the steps and the rate certificate.
+``recorded_iterates`` collects the iterates of a run.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
-from gemgmm import GmmParams, NumericUnderflowError, ValidationError, core
+from gemgmm import GmmParams, NumericUnderflowError, ValidationError, core, dynamics
 from gemgmm.analysis import LMI_TOL, SectorBounds, lmi_matrix
 
 
@@ -179,6 +181,31 @@ def lmi_check(mu: float, lam: float, bounds: SectorBounds) -> bool:
         raise ValidationError(f"mu must lie in [0, 1), got {mu}")
     top = float(np.linalg.eigvalsh(lmi_matrix(mu, lam, bounds))[-1])
     return top <= LMI_TOL
+
+
+@contextlib.contextmanager
+def recorded_iterates(algorithm):
+    """A list that gets every iterate the step of ``algorithm`` (a name
+    in ``ALGORITHMS``) returns while the block runs.
+
+    ``run`` looks its step up in ``gemgmm.dynamics`` on each call, so the
+    step name is rebound there to a wrapper, and restored on exit.  The
+    list holds iterates 1, 2, ...; iteration 0 is the starting point.
+    """
+    name = f"{algorithm}_step"
+    step = getattr(dynamics, name)
+    iterates = []
+
+    def recording(*args, **kwargs):
+        new = step(*args, **kwargs)
+        iterates.append(new)
+        return new
+
+    setattr(dynamics, name, recording)
+    try:
+        yield iterates
+    finally:
+        setattr(dynamics, name, step)
 
 
 @pytest.fixture

@@ -35,7 +35,8 @@ from gemgmm import (
 from gemgmm.cli import main
 from gemgmm.experiments import orthogonal_line_init
 
-from conftest import fd_loglik_gradient, lmi_check, make_dataset, make_params, q_function
+from conftest import (fd_loglik_gradient, lmi_check, make_dataset, make_params, q_function,
+                      recorded_iterates)
 
 TRUTH = GmmParams([0.5, 0.5], [[1.0, 1.0], [-1.0, -1.0]],
                   [np.eye(2), np.eye(2)])
@@ -64,34 +65,42 @@ def _recovery_errors(params):
     return min(direct, swapped), alpha_err
 
 
-def _constraint_residuals(trace):
-    """Largest |sum(w) - 1| and covariance asymmetry over a trace's
-    snapshots; every snapshot must also rebuild into a GmmParams."""
+def _constraint_residuals(iterates):
+    """Largest |sum(w) - 1| and covariance asymmetry over the flat
+    vectors of ``iterates``; every vector must also rebuild into a
+    GmmParams."""
     alpha_res = sym_res = 0.0
-    for record in trace.records:
-        w, _, cv = TRUTH.layout.split(record.snapshot)
+    for params in iterates:
+        vec = params.to_vector()
+        w, _, cv = TRUTH.layout.split(vec)
         alpha_res = max(alpha_res, abs(float(w.sum()) - 1.0))
         sym_res = max(sym_res, float(np.max(np.abs(cv - cv.transpose(0, 2, 1)))))
-        assert GmmParams.from_vector(record.snapshot, 2, 2).n_components == 2
+        assert GmmParams.from_vector(vec, 2, 2).n_components == 2
     return alpha_res, sym_res
+
+
+def _benchmark_run(data, algorithm):
+    """One benchmark run and its iterates, the starting point first."""
+    design = DESIGN if algorithm == "w_pb_gem" else None
+    with recorded_iterates(algorithm) as iterates:
+        trace = run(START, data, algorithm, design=design, rel_ll_tol=TOL, max_iters=1500)
+    assert len(iterates) == trace.iterations
+    return trace, [START, *iterates]
 
 
 @pytest.fixture(scope="module")
 def canonical():
-    """One full benchmark run per algorithm with per-iteration snapshots."""
+    """One full benchmark run per algorithm with all its iterates."""
     data = sample(TRUTH, N_SAMPLES, CANONICAL_SEED)
-    traces = {}
+    traces, iterates = {}, {}
     for algorithm in ("pb_gem", "w_pb_gem"):
-        design = DESIGN if algorithm == "w_pb_gem" else None
-        traces[algorithm] = run(START, data, algorithm, design=design,
-                                rel_ll_tol=TOL, max_iters=1500,
-                                snapshot_stride=1)
-    return {"data": data, "traces": traces}
+        traces[algorithm], iterates[algorithm] = _benchmark_run(data, algorithm)
+    return {"data": data, "traces": traces, "iterates": iterates}
 
 
 @pytest.fixture(scope="module")
 def seed_pool():
-    """Both algorithms across the frozen seed pool; the snapshots are
+    """Both algorithms across the frozen seed pool; the iterates are
     reduced to their constraint residuals and not kept."""
     t0 = time.perf_counter()
     rows = []
@@ -99,12 +108,9 @@ def seed_pool():
         data = sample(TRUTH, N_SAMPLES, seed)
         row = {"seed": seed}
         for algorithm in ("pb_gem", "w_pb_gem"):
-            design = DESIGN if algorithm == "w_pb_gem" else None
-            trace = run(START, data, algorithm, design=design,
-                        rel_ll_tol=TOL, max_iters=1500,
-                        snapshot_stride=1)
+            trace, iterates = _benchmark_run(data, algorithm)
             mean_err, alpha_err = _recovery_errors(trace.final_params)
-            alpha_res, sym_res = _constraint_residuals(trace)
+            alpha_res, sym_res = _constraint_residuals(iterates)
             row[algorithm] = {
                 "iterations": trace.iterations,
                 "reason": trace.reason,
@@ -177,7 +183,7 @@ def test_monotone_ascent_with_m_step_certificate(canonical, algorithm):
     assert trace.reason == "tolerance"
     ll = trace.logliks
     assert np.all(np.diff(ll) >= -1e-10)
-    iterates = [GmmParams.from_vector(r.snapshot, 2, 2) for r in trace.records]
+    iterates = canonical["iterates"][algorithm]
     for prev, nxt in zip(iterates[:-1], iterates[1:]):
         assert q_function(nxt, prev, data) > q_function(prev, prev, data)
 
@@ -222,17 +228,17 @@ def test_rate_bound_grid_consistency():
                 assert not lmi_check(mu, 0.4, bounds), (m_lo, L_hi, mu)
 
 
-# 6. Constraint preservation: on every iterate, read from its snapshot,
-#    the weight-sum and symmetry residuals stay below 1e-12 and the
-#    snapshot rebuilds into a validated GmmParams (Cholesky included).
+# 6. Constraint preservation: on every iterate, read from its flat
+#    vector, the weight-sum and symmetry residuals stay below 1e-12 and
+#    the vector rebuilds into a validated GmmParams (Cholesky included).
 
 def test_constraints_preserved_across_benchmark_runs(canonical, seed_pool):
     for row in seed_pool["rows"]:
         for algorithm in ("pb_gem", "w_pb_gem"):
             assert row[algorithm]["max_alpha_residual"] < 1e-12, row["seed"]
             assert row[algorithm]["max_sym_residual"] < 1e-12, row["seed"]
-    for trace in canonical["traces"].values():
-        alpha_res, sym_res = _constraint_residuals(trace)
+    for iterates in canonical["iterates"].values():
+        alpha_res, sym_res = _constraint_residuals(iterates)
         assert alpha_res < 1e-12
         assert sym_res < 1e-12
 

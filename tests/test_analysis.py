@@ -35,7 +35,8 @@ def test_rate_bound_closed_form(m_lo, L_hi, expected):
     assert rate_bound(SectorBounds(m_lo, L_hi)) == pytest.approx(expected, abs=1e-15)
 
 
-@pytest.mark.parametrize("m_lo, L_hi", [(0.0, 1.0), (-0.5, 1.0), (1.5, 0.5)])
+@pytest.mark.parametrize("m_lo, L_hi", [(0.0, 1.0), (-0.5, 1.0), (1.5, 0.5),
+                                         (0.5, math.inf), (math.inf, math.inf)])
 def test_sector_bounds_validation(m_lo, L_hi):
     with pytest.raises(ValidationError):
         SectorBounds(m_lo, L_hi)

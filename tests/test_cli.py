@@ -76,7 +76,7 @@ def test_config_number_fields_coerce(name):
     for raw, want in (("1e-3", 1e-3), (2, 2.0), (" 0.5 ", 0.5)):
         value = getattr(ExperimentConfig.from_mapping({name: raw}), name)
         assert type(value) is float and value == want
-    for bad in ("tight", None, [1.0], True):
+    for bad in ("tight", None, [1.0], True, "inf", "-inf", "nan", math.inf, math.nan):
         with pytest.raises(ValidationError, match=f"^config field '{name}' must be a number$"):
             ExperimentConfig.from_mapping({name: bad})
 
@@ -136,6 +136,8 @@ def test_flag_reaches_its_config_field_as_json_does(argv, fields):
     (["generate", "--seed", "x"], "seed"),
     (["fit", "--tol", "tight"], "tol"),
     (["replicate", "--max-iters", "2.5"], "max_iters"),
+    (["fit", "--tol", "inf"], "tol"),
+    (["fit", "--plot", "--inset", "40:0"], "inset"),
 ])
 def test_malformed_flag_value_exits_2(argv, field, capsys):
     assert main(argv) == 2
@@ -556,12 +558,16 @@ _BAD_RUN_FIELDS = {
     "plot-string": {"plot": "no"},
     "header-null": {"header": None},
     "seed-infinite": {"seed": math.inf},
+    "tol-infinite": {"tol": math.inf},
+    "inset-nan": {"inset": [math.nan, 40]},
+    "inset-reversed": {"plot": True, "inset": [40, 0]},
 }
 _BAD_SECTORS = {
     "sector-non-numeric": {"m_lo": "x", "L_hi": 1},
     "sector-null": {"m_lo": None, "L_hi": 1},
     "sector-list": ["m_lo", "L_hi"],
     "sector-bool": {"m_lo": True, "L_hi": 1.5},
+    "sector-infinite": {"m_lo": 0.5, "L_hi": math.inf},
 }
 _MALFORMED = ([pytest.param(command, fields, id=f"{command}-{name}")
                for command in ("fit", "replicate") for name, fields in _BAD_RUN_FIELDS.items()]
@@ -591,6 +597,34 @@ def test_analyze_rejects_a_dataset_as_trace(tmp_path):
     assert main(["analyze", "--trace", str(tmp_path / "gen" / "dataset.csv"),
                  "--out", str(tmp_path / "a")]) == 2
     assert not (tmp_path / "a" / "analysis.json").exists()
+
+
+def test_analyze_rejects_a_non_finite_trace(tmp_path):
+    trace = tmp_path / "trace.csv"
+    rows = "\n".join(f"{k},{-10.0 + 2.0 ** -k!r},0.5" for k in range(20))
+    trace.write_text(f"iter,loglik,step_norm\n{rows}\n20,inf,0.5\n")
+    assert main(["analyze", "--trace", str(trace), "--out", str(tmp_path / "a")]) == 2
+    assert not (tmp_path / "a" / "analysis.json").exists()
+
+
+@pytest.mark.parametrize("command, model", [
+    ("generate", {**TRUE_MODEL, "alpha": [0.6, 0.6]}),
+    ("analyze", {**TRUE_MODEL, "sigma": [[[1.0, 2.0], [2.0, 1.0]], TRUE_MODEL["sigma"][1]]}),
+])
+def test_invalid_model_values_exit_2(tmp_path, capsys, command, model):
+    # values that no GmmParams can hold are bad input, not a numerical failure
+    if command == "generate":
+        cfg = write_config(tmp_path / "gen.json", true_model=model, n_samples=20,
+                           out=str(tmp_path / "out"))
+        argv = ["generate", "--config", cfg]
+    else:
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(model))
+        argv = ["analyze", str(params), "--dataset", make_dataset_file(tmp_path, n=30),
+                "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: invalid parameter values: ")
+    assert not any((tmp_path / "out").glob("*"))
 
 
 # ---------------------------------------------------------------- plumbing

@@ -29,7 +29,7 @@ from gemgmm.errors import (
     SimplexViolationError,
 )
 
-from conftest import dense, make_dataset, make_params
+from conftest import dense, make_dataset, make_params, recorded_iterates
 
 
 # ------------------------------------------------------------ preconditioner
@@ -283,19 +283,22 @@ def test_run_log_likelihood_monotone(algorithm):
 def test_run_trace_shape_and_step_norms(algorithm):
     data = sample(TRUTH, 200, 149)
     design = MeanStepWeights([0.996, 0.996]) if algorithm == "w_pb_gem" else None
-    trace = run(TRUTH, data, algorithm, design=design, max_iters=200, snapshot_stride=1)
+    with recorded_iterates(algorithm) as iterates:
+        trace = run(TRUTH, data, algorithm, design=design, max_iters=200)
+    vecs = [p.to_vector() for p in (TRUTH, *iterates)]
+    assert len(vecs) == len(trace.records)
     iters = [r.iteration for r in trace.records]
     assert iters == list(range(len(iters)))
     assert trace.iterations == iters[-1]
     assert trace.records[0].step_norm == 0.0
     assert trace.records[0].loglik == pytest.approx(trace.logliks[0], abs=0)
     # the block-wise step norm is the norm of the flat-vector difference
-    for prev, r in zip(trace.records, trace.records[1:]):
-        diff = np.linalg.norm(r.snapshot - prev.snapshot)
+    for prev, vec, r in zip(vecs, vecs[1:], trace.records[1:]):
+        diff = np.linalg.norm(vec - prev)
         assert r.step_norm == pytest.approx(diff, rel=1e-14, abs=0)
     assert trace.wall_time > 0.0
     v = trace.final_params.to_vector()
-    assert np.array_equal(trace.records[-1].snapshot, v)
+    assert np.array_equal(vecs[-1], v)
 
 
 def test_run_hits_max_iters():
@@ -306,21 +309,6 @@ def test_run_hits_max_iters():
     assert trace.reason == "max_iters"
     assert trace.iterations == 3
     assert len(trace.records) == 4
-
-
-def test_run_snapshot_stride():
-    data = sample(TRUTH, 150, 157)
-    trace = run(TRUTH, data, "em", max_iters=12, snapshot_stride=5,
-                rel_ll_tol=1e-300)
-    for r in trace.records:
-        if r.iteration % 5 == 0:
-            assert r.snapshot is not None
-        else:
-            assert r.snapshot is None
-    # by default no record carries a snapshot, iteration 0 included
-    plain = run(TRUTH, data, "em", max_iters=4, rel_ll_tol=1e-300)
-    assert len(plain.records) == 5
-    assert all(r.snapshot is None for r in plain.records)
 
 
 def test_run_argument_validation():
@@ -335,8 +323,6 @@ def test_run_argument_validation():
         run(TRUTH, data, "em", rel_ll_tol=0.0)
     with pytest.raises(ValidationError):
         run(TRUTH, data, "em", max_iters=0)
-    with pytest.raises(ValidationError):
-        run(TRUTH, data, "em", snapshot_stride=0)
 
 
 START = GmmParams([0.4, 0.6], [[0.5, 0.2], [-0.5, 0.0]], [np.eye(2), 2.0 * np.eye(2)])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -90,10 +92,14 @@ def test_load_params_invalid_json(tmp_path):
 
 
 def test_params_validated_on_load(tmp_path):
+    # invalid values in a file are bad input, not a numerical failure:
+    # weights off the simplex, a covariance that is not positive definite
     path = tmp_path / "bad_params.json"
-    path.write_text('{"K": 1, "m": 1, "alpha": [2.0], "mu": [[0.0]], "sigma": [[[1.0]]]}')
-    with pytest.raises(Exception):
-        load_params(path)
+    for alpha, sigma in (([2.0], [[[1.0]]]), ([1.0], [[[-1.0]]])):
+        path.write_text(json.dumps({"K": 1, "m": 1, "alpha": alpha, "mu": [[0.0]],
+                                    "sigma": sigma}))
+        with pytest.raises(ValidationError, match="invalid parameter values"):
+            load_params(path)
 
 
 # ----------------------------------------------------------------- dataset
@@ -204,6 +210,14 @@ def test_load_trace_requires_the_header(tmp_path):
         with pytest.raises(ValidationError, match="header") as err:
             load_trace_csv(path)
         assert TRACE_HEADER in str(err.value)
+
+
+@pytest.mark.parametrize("row", ["1,inf,0.5", "1,-9.0,nan", "1,-inf,0.5"])
+def test_load_trace_rejects_non_finite_values(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{TRACE_HEADER}\n0,-10.0,0.0\n{row}\n")
+    with pytest.raises(ValidationError, match="non-finite"):
+        load_trace_csv(path)
 
 
 def test_load_trace_missing_file(tmp_path):
