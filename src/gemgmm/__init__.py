@@ -1,11 +1,11 @@
 """Gaussian mixture estimation via preconditioned generalized EM updates.
 
-The package implements a family of update maps for maximum-likelihood
-GMM fitting -- classic EM, shifted-covariance EM, and projected
-preconditioned gradient steps (plain and weighted) that reproduce the
-shifted EM step exactly -- plus a convergence-analysis toolkit (LMI rate
-certificates, update-map Jacobian spectra) and an experiment harness
-with a CLI.
+The package implements the update maps for maximum-likelihood GMM
+fitting -- classic EM, and the projected preconditioned gradient steps
+(plain and weighted), the plain one being the shifted-covariance EM
+step -- all read from one E-pass that reduces the samples to K-sized
+moments, plus a convergence-analysis toolkit (LMI rate certificates,
+update-map Jacobian spectra) and an experiment harness with a CLI.
 """
 
 from .analysis import (
@@ -42,8 +42,6 @@ from .dynamics import (
 from .engine import (
     em_step,
     grad_log_likelihood,
-    shifted_em_step,
-    soft_counts,
 )
 from .errors import (
     DegenerateComponentError,

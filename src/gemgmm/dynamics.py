@@ -1,7 +1,9 @@
 """Projected generalized EM steps and the iteration driver.
 
 The paper's GEM step is the shifted-covariance EM increment.  Production
-steps compute it in structured form from one set of responsibilities:
+steps compute it in structured form from the E-pass sums
+(:class:`~gemgmm.core.Moments`) through the one M-step
+(:func:`~gemgmm.engine._m_step`):
 
     d_w = counts / N - w   (centered, so the weights keep their sum),
     d_mean_j = beta_j * (new mean_j - mean_j),
@@ -11,11 +13,10 @@ steps compute it in structured form from one set of responsibilities:
 with ``beta_j = 1`` for :func:`pb_gem_step` and the design's factors for
 :func:`w_pb_gem_step`.  :func:`run` checks its data once, as a
 :class:`~gemgmm.core.Dataset` that every step accepts without a second
-scan, and makes one log-density pass per iteration: the pass that
-scores the new iterate also yields the responsibilities that the next
-step consumes.  The loop keeps only the current iterate, its
-log-likelihood and its responsibilities, and records one
-:class:`TraceRecord` per iteration: one ``trace.csv`` row.
+scan, and makes one E-pass per iteration: the pass that scores the new
+iterate also yields the moments that the next step consumes.  The loop
+keeps only the current iterate, its log-likelihood and its moments, and
+records one :class:`TraceRecord` per iteration: one ``trace.csv`` row.
 
 The same step written as a projected preconditioned gradient step,
 
@@ -24,7 +25,7 @@ The same step written as a projected preconditioned gradient step,
 where the block preconditioner P maps the raw gradient to the exact
 shifted-covariance EM increment,
 
-    flatten(shifted_em_step(p)) - flatten(p) = P(p) . grad(p),
+    flatten(pb_gem_step(p)) - flatten(p) = P(p) . grad(p)   (up to roundoff),
 
 is kept as :class:`Preconditioner`, :func:`build_preconditioner` and
 :func:`apply_projection`.  These are identities checked by the tests;
@@ -46,11 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, GmmParams, VectorLayout, _estep
-from .engine import _e_inputs, _m_step, em_step, shifted_em_step, soft_counts
+from .core import Dataset, GmmParams, Moments, VectorLayout, _epass, _moments
+from .engine import _checked_counts, _m_step, em_step
 from .errors import NumericalError, StepFailure, ValidationError
 
-ALGORITHMS = ("em", "shifted_em", "pb_gem", "w_pb_gem")
+ALGORITHMS = ("em", "pb_gem", "w_pb_gem")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +92,10 @@ class Preconditioner:
 
 def build_preconditioner(params: GmmParams, data) -> Preconditioner:
     """Evaluate the preconditioner blocks at ``params``."""
-    xt, rt = _e_inputs(params, data, None)
-    counts = soft_counts(rt.T)
-    n = xt.shape[1]
+    mo = _moments(params, data)
     w = params.weights
-    p_weights = (np.diag(w) - np.outer(w, w)) / n
-    return Preconditioner(p_weights, params.covs, counts, params.layout)
+    p_weights = (np.diag(w) - np.outer(w, w)) / mo.n
+    return Preconditioner(p_weights, params.covs, _checked_counts(mo), params.layout)
 
 
 def apply_projection(vec: np.ndarray, layout: VectorLayout) -> np.ndarray:
@@ -125,9 +124,9 @@ class MeanStepWeights:
         object.__setattr__(self, "betas", b)
 
 
-def _gem_step(params: GmmParams, data, resp: np.ndarray | None,
+def _gem_step(params: GmmParams, data, moments: Moments | None,
               betas: np.ndarray | None) -> GmmParams:
-    weights, means, covs = _m_step(params, *_e_inputs(params, data, resp), shifted=True)
+    weights, means, covs = _m_step(_moments(params, data) if moments is None else moments)
     d_w = weights - params.weights
     d_w -= d_w.mean()
     d_mu = means - params.means
@@ -139,35 +138,35 @@ def _gem_step(params: GmmParams, data, resp: np.ndarray | None,
 
 
 def pb_gem_step(params: GmmParams, data,
-                resp: np.ndarray | None = None) -> GmmParams:
+                moments: Moments | None = None) -> GmmParams:
     """One projected preconditioned gradient-ascent step.
 
-    Coincides with :func:`engine.shifted_em_step` up to roundoff: the
+    Coincides with the shifted-covariance EM step up to roundoff: the
     preconditioned gradient already equals the EM increment, whose weight
     block is zero-sum, so the projection (centering the weight increment)
-    only removes roundoff drift.  ``data`` and ``resp`` work as in
+    only removes roundoff drift.  ``data`` and ``moments`` work as in
     :func:`engine.em_step`.
     """
-    return _gem_step(params, data, resp, betas=None)
+    return _gem_step(params, data, moments, betas=None)
 
 
 def w_pb_gem_step(params: GmmParams, data, design: MeanStepWeights,
-                  resp: np.ndarray | None = None) -> GmmParams:
+                  moments: Moments | None = None) -> GmmParams:
     """Weighted variant: mean increments scale by ``design.betas``.
 
     With all betas equal to 1 this reproduces :func:`pb_gem_step`
-    bit-exactly.  ``resp`` works as in :func:`pb_gem_step`.
+    bit-exactly.  ``moments`` works as in :func:`pb_gem_step`.
     """
     if design.betas.size != params.n_components:
         raise ValidationError(
             f"need one beta per component ({params.n_components}), got {design.betas.size}")
-    return _gem_step(params, data, resp, betas=design.betas)
+    return _gem_step(params, data, moments, betas=design.betas)
 
 
 def _step_for(algorithm: str | Callable[..., GmmParams],
               design: MeanStepWeights | None) -> Callable[..., GmmParams]:
-    """The step that ``algorithm`` names, as ``(params, data, resp=None)
-    -> GmmParams``.
+    """The step that ``algorithm`` names, as ``(params, data,
+    moments=None) -> GmmParams``.
 
     ``algorithm`` is a name in :data:`ALGORITHMS` or a custom map
     ``(params, samples) -> GmmParams``, which gets the samples as an
@@ -179,16 +178,16 @@ def _step_for(algorithm: str | Callable[..., GmmParams],
     if callable(algorithm):
         if design is not None:
             raise ValidationError("a custom update map takes no design")
-        return lambda p, d, resp=None: algorithm(p, d.x)
+        return lambda p, d, moments=None: algorithm(p, d.x)
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if algorithm == "w_pb_gem":
         if design is None:
             raise ValidationError("w_pb_gem requires a MeanStepWeights design")
-        return lambda p, d, resp=None: w_pb_gem_step(p, d, design, resp=resp)
+        return lambda p, d, moments=None: w_pb_gem_step(p, d, design, moments)
     if design is not None:
         raise ValidationError(f"algorithm {algorithm!r} takes no design")
-    return {"em": em_step, "shifted_em": shifted_em_step, "pb_gem": pb_gem_step}[algorithm]
+    return {"em": em_step, "pb_gem": pb_gem_step}[algorithm]
 
 
 @dataclass(frozen=True)
@@ -251,15 +250,15 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str | Callable[..., GmmP
     samples = Dataset(data, params.n_features)
     t0 = time.perf_counter()
     cur = params
-    # One log-density pass per iterate: it scores the iterate and gives
-    # the responsibilities that the next step starts from.
-    loglik, rt = _estep(cur, samples.xt)
+    # One E-pass per iterate: it scores the iterate and gives the
+    # moments that the next step starts from.
+    loglik, moments = _epass(cur, samples.xt)
     records = [TraceRecord(0, loglik, 0.0)]
     reason = "max_iters"
     for k in range(1, max_iters + 1):
         try:
-            new = step_fn(cur, samples, resp=rt.T)
-            new_loglik, rt = _estep(new, samples.xt)
+            new = step_fn(cur, samples, moments=moments)
+            new_loglik, moments = _epass(new, samples.xt)
         except NumericalError as err:
             partial = RunTrace(records, "error", cur, algorithm, time.perf_counter() - t0)
             raise StepFailure(k, partial, err) from err

@@ -187,9 +187,6 @@ def _design_for(config: ExperimentConfig, algorithm: str,
     if algorithm != "w_pb_gem":
         return None
     betas = config.beta if config.beta is not None else [DEFAULT_BETA] * n_components
-    if len(betas) != n_components:
-        raise ValidationError(f"beta must list one factor per component "
-                              f"({n_components}), got {len(betas)}")
     return MeanStepWeights(np.asarray(betas, dtype=float))
 
 
@@ -274,7 +271,10 @@ def cmd_fit(config: ExperimentConfig) -> RunTrace:
         trace = run(start, data, config.algorithm, design=design,
                     rel_ll_tol=config.tol, max_iters=config.max_iters)
     except StepFailure as err:
-        _write_fit_outputs(err.trace, config, betas, error=str(err))
+        try:
+            _write_fit_outputs(err.trace, config, betas, error=str(err))
+        except ValidationError:
+            pass  # an inset past the partial trace: the failure is what this fit reports
         raise
     _write_fit_outputs(trace, config, betas)
     return trace

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 # Canvas size in pixels.
@@ -100,7 +102,8 @@ def line_plot(curves, *, title: str, xlabel: str, ylabel: str,
     """Render curves (list of {"label", "x", "y", optional "band"}) to SVG.
 
     ``inset`` zooms the x-window [a, b] into a sub-panel, used to show
-    the behavior over a short iteration range.
+    the behavior over a short iteration range; a window in which no
+    curve has two points raises :class:`~gemgmm.errors.ValidationError`.
     """
     left, right, top, bottom = 72, 24, 46, 52
     frame = _Frame(*_data_range(curves), left, top, WIDTH - left - right,
@@ -141,7 +144,9 @@ def _inset_panel(curves, window, outer: _Frame) -> list[str]:
         if np.count_nonzero(keep) >= 2:
             clipped.append({"x": xs[keep], "y": np.asarray(c["y"], dtype=float)[keep]})
     if not clipped:
-        return []
+        last = max(float(np.max(c["x"])) for c in curves)
+        raise ValidationError(f"inset window {a:g}:{b:g} holds fewer than two iterations of "
+                              f"any curve; the last iteration is {last:g}")
     px = outer.px + outer.pw * 0.46
     py = outer.py + outer.ph * 0.12
     pw, ph = outer.pw * 0.46, outer.ph * 0.40

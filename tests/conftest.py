@@ -5,7 +5,8 @@ flat parameter layout from scratch (plain loops, inv/det instead of
 Cholesky plus log-sum-exp) so tests do not lean on the code under test.
 ``reference_estep`` and ``reference_m_step`` are the per-component
 kernels written over sample-major (N, m) data, the reference for the
-package's feature-major (m, N) kernels.  ``q_function`` (the EM
+package's feature-major (m, N) kernels; ``reference_shifted_em_step``
+is the shifted EM route built from them.  ``q_function`` (the EM
 surrogate that a GEM step increases) and ``lmi_check`` (the rate LMI at
 one grid point) are oracles for the steps and the rate certificate.
 ``recorded_iterates`` collects the iterates of a run.
@@ -151,6 +152,13 @@ def reference_m_step(params, x, resp, shifted):
         c = (resp[:, j, None] * d).T @ d / counts[j]
         covs[j] = 0.5 * (c + c.T)
     return counts / x.shape[0], means, covs
+
+
+def reference_shifted_em_step(params, x):
+    """The shifted-covariance EM step from the references above: the map
+    that ``pb_gem_step`` computes, up to roundoff."""
+    x = np.asarray(x, dtype=float)
+    return GmmParams(*reference_m_step(params, x, reference_estep(params, x)[1], shifted=True))
 
 
 def q_function(params, params_prev, data):

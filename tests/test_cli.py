@@ -348,6 +348,50 @@ def test_fit_plot_output(tmp_path):
     assert "polyline" in svg
 
 
+def test_fit_plot_rejects_an_inset_past_the_last_iteration(tmp_path, capsys):
+    dataset = make_dataset_file(tmp_path, n=100)
+    cfg = write_config(tmp_path / "fit.json", true_model=TRUE_MODEL,
+                       dataset=dataset, init=ORTHO_INIT, plot=True,
+                       inset=[5000, 6000], out=str(tmp_path / "fit"), max_iters=50)
+    assert main(["fit", "--config", cfg]) == 2
+    # the trace and the summary are written before the plot, and stay
+    summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
+    assert load_trace_csv(tmp_path / "fit" / "trace.csv").shape[0] == summary["iterations"] + 1
+    assert not (tmp_path / "fit" / "loglik.svg").exists()
+    err = capsys.readouterr().err
+    assert "inset window 5000:6000" in err
+    assert f"the last iteration is {summary['iterations']}\n" in err
+
+
+def test_failed_fit_with_an_inset_past_its_partial_trace_exits_3(tmp_path):
+    # the step failure is what the fit reports, not the plot's window
+    dataset = make_dataset_file(tmp_path, n=80)
+    bad_init = {"kind": "explicit", "params": {
+        "K": 2, "m": 2, "alpha": [0.5, 0.5],
+        "mu": [[0.0, 0.0], [1000.0, 1000.0]],
+        "sigma": TRUE_MODEL["sigma"]}}
+    cfg = write_config(tmp_path / "fit.json", dataset=dataset, init=bad_init, algorithm="em",
+                       plot=True, inset=[0, 40], out=str(tmp_path / "fit"))
+    assert main(["fit", "--config", cfg]) == 3
+    assert "error" in json.loads((tmp_path / "fit" / "summary.json").read_text())
+    assert not (tmp_path / "fit" / "loglik.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "replicate", "analyze"])
+def test_beta_of_the_wrong_length_exits_2(tmp_path, capsys, command):
+    dataset = make_dataset_file(tmp_path, n=60)
+    cfg = write_config(tmp_path / "c.json", true_model=TRUE_MODEL, dataset=dataset,
+                       init=ORTHO_INIT, n_samples=60, instances=2, max_iters=50,
+                       out=str(tmp_path / "out"))
+    argv = [command, "--config", cfg, "--beta", "0.9,0.9,0.9"]
+    if command != "replicate":
+        argv += ["--algo", "w-pb-gem"]
+    if command == "analyze":
+        argv.append(str(tmp_path / "gen" / "truth.json"))
+    assert main(argv) == 2
+    assert "need one beta per component (2), got 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv_extra, missing", [
     ([], "dataset"),
 ])
@@ -424,6 +468,21 @@ def test_replicate_plot_leaves_out_an_algorithm_without_runs(tmp_path):
     assert ">pb-gem</text>" in svg
     assert "w-pb-gem" not in svg
     assert svg.count("<polyline") == 1
+
+
+def test_replicate_plot_rejects_an_inset_past_the_last_iteration(tmp_path, capsys):
+    cfg = write_config(tmp_path / "rep.json", true_model=TRUE_MODEL,
+                       n_samples=60, init=ORTHO_INIT, instances=2, max_iters=200,
+                       plot=True, inset=[5000, 6000], out=str(tmp_path / "rep"))
+    assert main(["replicate", "--config", cfg]) == 2
+    # the aggregate and the summary are written before the plot, and stay
+    summary = json.loads((tmp_path / "rep" / "replicate_summary.json").read_text())
+    longest = max(summary["pb_gem"]["max_iterations"], summary["w_pb_gem"]["max_iterations"])
+    assert (tmp_path / "rep" / "replicate.csv").exists()
+    assert not (tmp_path / "rep" / "replicate.svg").exists()
+    err = capsys.readouterr().err
+    assert "inset window 5000:6000" in err
+    assert f"the last iteration is {longest}\n" in err
 
 
 def test_replicate_rejects_negative_seed_stride(tmp_path, monkeypatch):
@@ -623,7 +682,10 @@ def test_invalid_model_values_exit_2(tmp_path, capsys, command, model):
         argv = ["analyze", str(params), "--dataset", make_dataset_file(tmp_path, n=30),
                 "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: invalid parameter values: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid parameter values: ")
+    if command == "generate":
+        assert err.endswith("got sum 1.2\n")
     assert not any((tmp_path / "out").glob("*"))
 
 

@@ -16,7 +16,6 @@ from gemgmm import (
     pb_gem_step,
     run,
     sample,
-    shifted_em_step,
     w_pb_gem_step,
 )
 from gemgmm import core
@@ -29,7 +28,8 @@ from gemgmm.errors import (
     SimplexViolationError,
 )
 
-from conftest import dense, make_dataset, make_params, recorded_iterates
+from conftest import (dense, make_dataset, make_params, recorded_iterates,
+                      reference_shifted_em_step)
 
 
 # ------------------------------------------------------------ preconditioner
@@ -180,7 +180,7 @@ def test_preconditioned_gradient_equals_shifted_increment(k, m, n, seed):
     rng = np.random.default_rng(7000 + seed)
     p = make_params(rng, k, m)
     x = make_dataset(rng, n, m)
-    increment = shifted_em_step(p, x).to_vector() - p.to_vector()
+    increment = reference_shifted_em_step(p, x).to_vector() - p.to_vector()
     pre_grad = build_preconditioner(p, x).apply(grad_log_likelihood(p, x))
     assert np.linalg.norm(pre_grad - increment) <= 1e-8 * np.linalg.norm(increment)
 
@@ -193,7 +193,7 @@ def test_pb_step_matches_shifted_em(k, m, n, seed):
     p = make_params(rng, k, m)
     x = make_dataset(rng, n, m)
     a = pb_gem_step(p, x).to_vector()
-    b = shifted_em_step(p, x).to_vector()
+    b = reference_shifted_em_step(p, x).to_vector()
     assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
 
 
@@ -267,7 +267,7 @@ def test_run_from_fixed_point_stops_after_one_iteration():
     assert trace.reason == "tolerance"
 
 
-@pytest.mark.parametrize("algorithm", ["em", "shifted_em", "pb_gem", "w_pb_gem"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_run_log_likelihood_monotone(algorithm):
     data = sample(TRUTH, 300, 139)
     start = GmmParams([0.5, 0.5], [[0.5, 0.0], [-0.5, 0.0]],
@@ -329,7 +329,6 @@ START = GmmParams([0.4, 0.6], [[0.5, 0.2], [-0.5, 0.0]], [np.eye(2), 2.0 * np.ey
 W_DESIGN = MeanStepWeights([0.9, 0.7])
 HAND_STEPS = {
     "em": em_step,
-    "shifted_em": shifted_em_step,
     "pb_gem": pb_gem_step,
     "w_pb_gem": lambda p, x: w_pb_gem_step(p, x, W_DESIGN),
 }
@@ -337,8 +336,8 @@ HAND_STEPS = {
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_run_is_bit_equal_to_hand_loop(algorithm):
-    # run carries each iterate's responsibilities into the next step; a
-    # step fed those of any other iterate would not reproduce this loop
+    # run carries each iterate's moments into the next step; a step fed
+    # those of any other iterate would not reproduce this loop
     data = sample(TRUTH, 200, 167)
     design = W_DESIGN if algorithm == "w_pb_gem" else None
     trace = run(START, data, algorithm, design=design, max_iters=5, rel_ll_tol=1e-300)

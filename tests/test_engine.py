@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from gemgmm import (
+    Dataset,
     DegenerateComponentError,
     GmmParams,
     em_step,
     grad_log_likelihood,
     log_likelihood,
-    responsibilities,
-    shifted_em_step,
+    pb_gem_step,
+    sample,
 )
-from gemgmm.engine import _m_step, soft_counts
+from gemgmm.core import _epass, _moments
+from gemgmm.engine import _m_step
 
 from conftest import (
     ORACLE_SHAPES,
@@ -20,6 +22,7 @@ from conftest import (
     naive_responsibilities,
     reference_estep,
     reference_m_step,
+    reference_shifted_em_step,
 )
 
 
@@ -56,7 +59,7 @@ def test_shifted_equals_classic_when_mean_stationary():
     x = make_dataset(rng, 20, 2)
     p = GmmParams([1.0], [x.mean(axis=0)], [3.0 * np.eye(2)])
     a = em_step(p, x)
-    b = shifted_em_step(p, x)
+    b = reference_shifted_em_step(p, x)
     assert np.max(np.abs(a.to_vector() - b.to_vector())) < 1e-13
 
 
@@ -67,7 +70,7 @@ def test_classic_vs_shifted_covariance_on_two_points():
     x = np.array([[0.0], [2.0]])
     p = GmmParams([1.0], [[0.0]], [np.eye(1)])
     classic = em_step(p, x)
-    shifted = shifted_em_step(p, x)
+    shifted = reference_shifted_em_step(p, x)
     assert classic.means[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert shifted.means[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert classic.covs[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -79,10 +82,10 @@ def test_steps_share_weight_and_mean_updates():
     p = make_params(rng, 3, 2)
     x = make_dataset(rng, 60, 2)
     a = em_step(p, x)
-    b = shifted_em_step(p, x)
-    assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(a.means, b.means)
-    assert not np.allclose(a.covs, b.covs)
+    weights, means, covs = _m_step(_moments(p, x))
+    assert np.array_equal(a.weights, weights)
+    assert np.array_equal(a.means, means)
+    assert not np.allclose(a.covs, covs)
 
 
 def test_m_step_matches_hand_rolled_formulas():
@@ -100,7 +103,7 @@ def test_m_step_matches_hand_rolled_formulas():
         [[(h[:, j] * (x[:, 0] - p.means[j, 0]) ** 2).sum() / counts[j]]]
         for j in range(2)])
     classic = em_step(p, x)
-    shifted = shifted_em_step(p, x)
+    shifted = pb_gem_step(p, x)
     assert np.allclose(classic.weights, w_ref, rtol=0, atol=1e-14)
     assert np.allclose(classic.means, mu_ref, rtol=0, atol=1e-14)
     assert np.allclose(classic.covs, cv_classic, rtol=0, atol=1e-14)
@@ -114,23 +117,26 @@ def test_m_step_matches_sample_major_reference(k, m, n, shifted):
     p = make_params(rng, k, m)
     x = make_dataset(rng, n, m)
     h = reference_estep(p, x)[1]
-    got = _m_step(p, np.ascontiguousarray(x.T), np.ascontiguousarray(h.T), shifted)
-    for block, ref in zip(got, reference_m_step(p, x, h, shifted)):
+    # the shifted update is the M-step itself; EM re-centres it
+    got = GmmParams(*_m_step(_moments(p, x))) if shifted else em_step(p, x)
+    for block, ref in zip((got.weights, got.means, got.covs), reference_m_step(p, x, h, shifted)):
         assert block.shape == ref.shape
         assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_precomputed_responsibilities_give_identical_step():
+@pytest.mark.parametrize("step", [em_step, pb_gem_step])
+def test_precomputed_moments_give_identical_step(step):
     rng = np.random.default_rng(41)
     p = make_params(rng, 2, 2)
     x = make_dataset(rng, 30, 2)
-    h = responsibilities(p, x)
-    a = em_step(p, x)
-    b = em_step(p, x, resp=h)
+    loglik, moments = _epass(p, Dataset(x).xt)
+    assert loglik == log_likelihood(p, x)
+    a = step(p, x)
+    b = step(p, x, moments=moments)
     assert np.array_equal(a.to_vector(), b.to_vector())
 
 
-@pytest.mark.parametrize("step", [em_step, shifted_em_step])
+@pytest.mark.parametrize("step", [em_step, pb_gem_step])
 def test_both_steps_increase_log_likelihood(step):
     rng = np.random.default_rng(43)
     p = make_params(rng, 2, 2)
@@ -143,6 +149,25 @@ def test_both_steps_increase_log_likelihood(step):
         ll = ll_new
 
 
+@pytest.mark.parametrize("offset", [10.0, 100.0, 1000.0])
+def test_em_step_covariances_from_a_far_start(offset):
+    # the start sits offset*sqrt(2) standard deviations off the data, so
+    # the means move that far in one step; the classic covariance then
+    # carries the roundoff of a second moment of size |delta|^2, relative
+    # to its smallest eigenvalue
+    truth = GmmParams([0.5, 0.5], [[1.0, 1.0], [-1.0, -1.0]], [np.eye(2), np.eye(2)])
+    x = sample(truth, 400, 191)
+    p = GmmParams([0.5, 0.5], truth.means + [offset, -offset], [np.eye(2), np.eye(2)])
+    _, ref_means, ref_covs = reference_m_step(p, x, reference_estep(p, x)[1], shifted=False)
+    got = em_step(p, x)
+    eps = np.finfo(float).eps
+    for j in range(2):
+        delta = ref_means[j] - p.means[j]
+        tol = 8.0 * eps * (1.0 + delta @ delta / np.linalg.eigvalsh(ref_covs[j])[0])
+        err = np.max(np.abs(got.covs[j] - ref_covs[j])) / np.max(np.abs(ref_covs[j]))
+        assert err <= tol, (j, err, tol)
+
+
 def test_em_step_reports_starved_component():
     # the second component sits 1000 sigma away from all the data, so its
     # posterior mass underflows to zero and the closed form would divide by it
@@ -151,14 +176,6 @@ def test_em_step_reports_starved_component():
     p = GmmParams([0.5, 0.5], [[0.0], [1000.0]], [np.eye(1), np.eye(1)])
     with pytest.raises(DegenerateComponentError):
         em_step(p, x)
-
-
-def test_soft_counts_threshold():
-    ok = np.array([[0.9, 0.1], [0.8, 0.2]])
-    assert np.allclose(soft_counts(ok), [1.7, 0.3])
-    starved = np.array([[1.0, 1e-15], [1.0, 1e-16]])
-    with pytest.raises(DegenerateComponentError):
-        soft_counts(starved)
 
 
 # ---------------------------------------------------------------- gradient
