@@ -19,10 +19,10 @@ from .analysis import (
     update_map_jacobian,
 )
 from .core import (
-    Dataset,
     GmmParams,
     VectorLayout,
     as_dataset,
+    e_step,
     log_likelihood,
     responsibilities,
     sample,

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, GmmParams
+from .core import GmmParams, _epass, _feature_major
 from .dynamics import MeanStepWeights, RunTrace, _step_for
-from .errors import GemGmmError, StepFailure, ValidationError
+from .errors import GemGmmError, ValidationError
 
 # Negative semidefiniteness is decided by an eigenvalue test with this
 # much slack; the matrix is 2x2, so no external solver is involved.
@@ -129,35 +129,36 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
     with step ``FD_STEP``.
 
     ``algorithm`` is one of :data:`~gemgmm.dynamics.ALGORITHMS`
-    (``"w_pb_gem"`` with ``design``), or a callable ``(params, data) ->
-    GmmParams`` for custom maps, which gets the validated samples as an
-    (N, m) array and takes no design.  ``data`` is checked once for all
-    probes.  Columns follow the flat layout; probes along constrained
+    (``"w_pb_gem"`` with ``design``), or a custom map ``(params, moments)
+    -> GmmParams`` that takes no design.  ``data`` is checked once for
+    all probes, and each probe point ``p`` maps to ``step(p, e_step(p,
+    data))``.  Columns follow the flat layout; probes along constrained
     coordinates stay on the constraint set (see
     :func:`_probe_directions`), so directions orthogonal to it contribute
     zero columns (for K=1 the weight direction is trivial).  Eigenvalue
     moduli near 0 mean the map forgets its input like a Newton step;
     moduli near 1 mean first-order behavior.
     """
-    step = _step_for(algorithm, design)
-    samples = Dataset(data, params.n_features)
+    step = _step_for(algorithm, design, params.n_components)
+    xt = _feature_major(data, params.n_features)
     layout = params.layout
     base = params.to_vector()
     k, m = layout.n_components, layout.n_features
     jac = np.empty((layout.size, layout.size))
+
+    def probe(vec):
+        p = GmmParams.from_vector(vec, k, m)
+        return step(p, _epass(p, xt)[1]).to_vector()
+
     for idx, direction in enumerate(_probe_directions(layout)):
         if not direction.any():
             jac[:, idx] = 0.0
             continue
         try:
-            plus = step(GmmParams.from_vector(base + FD_STEP * direction, k, m), samples).to_vector()
-            minus = step(GmmParams.from_vector(base - FD_STEP * direction, k, m), samples).to_vector()
+            plus, minus = probe(base + FD_STEP * direction), probe(base - FD_STEP * direction)
         except GemGmmError as err:
-            # a custom map may call run: re-raise a StepFailure as its root cause's class
-            cause = err
-            while isinstance(cause, StepFailure):
-                cause = cause.cause
-            raise type(cause)(f"update step failed at perturbation {idx}: {err}") from err
+            err.args = (f"update step failed at perturbation {idx}: {err}",)
+            raise
         jac[:, idx] = (plus - minus) / (2.0 * FD_STEP)
     moduli = np.sort(np.abs(np.linalg.eigvals(jac)))[::-1]
     top = moduli[0]

@@ -9,18 +9,18 @@ components in ``m`` dimensions the vector has length ``K + m*K + m*m*K``.
 All densities are evaluated in log space and combined with log-sum-exp,
 so likelihoods stay finite even for points far from every component.
 One log-density pass gives the log-likelihood and the responsibilities
-together; the E-pass (:func:`_epass`) reduces them to the K-sized
-:class:`Moments` that every step reads, so no step loops over samples.
+together; the E-step (:func:`e_step`) reduces them to the K-sized
+:class:`Moments` that every update map reads, so the E-step is the only
+code on the update path that reads samples.
 
 Data layout.  The public functions take samples as an (N, m) array, one
-sample per row (:func:`as_dataset` returns that form), and give
+sample per row (:func:`as_dataset` checks that form), and give
 responsibilities as an (N, K) array.  Internally the kernels hold the
-validated samples feature-major, as one C-contiguous (m, N) array, and
-the responsibilities as (K, N), so every broadcast and reduction over
-the samples runs along a contiguous row of length N.  The public (N, K)
-responsibilities are the transpose view of the internal array, and a
-:class:`Dataset` carries validated (m, N) samples through repeated steps
-without scanning them again.
+validated samples feature-major, as one read-only C-contiguous (m, N)
+array (:func:`_feature_major`), and the responsibilities as (K, N), so
+every broadcast and reduction over the samples runs along a contiguous
+row of length N.  The public (N, K) responsibilities are the transpose
+view of the internal array.
 """
 
 from __future__ import annotations
@@ -204,41 +204,11 @@ def as_dataset(data: np.ndarray, n_features: int | None = None) -> np.ndarray:
     return x
 
 
-class Dataset:
-    """Validated samples, held feature-major.
-
-    ``Dataset(data, n_features)`` checks ``data`` once with
-    :func:`as_dataset` and keeps it as the C-contiguous (m, N) array
-    ``xt``.  The step functions and the E-pass accept a ``Dataset``
-    wherever they accept an (N, m) array and then skip their own check,
-    so a driver that steps many times over the same samples scans them
-    once.
-    """
-
-    __slots__ = ("xt",)
-
-    def __init__(self, data, n_features: int | None = None):
-        xt = np.ascontiguousarray(as_dataset(data, n_features).T)
-        xt.flags.writeable = False
-        self.xt = xt
-
-    @property
-    def n_features(self) -> int:
-        return self.xt.shape[0]
-
-    @property
-    def x(self) -> np.ndarray:
-        """The (N, m) view, one sample per row."""
-        return self.xt.T
-
-
-def _feature_major(data, n_features: int) -> np.ndarray:
-    """Validated (m, N) samples from an (N, m) array or a :class:`Dataset`."""
-    if not isinstance(data, Dataset):
-        return Dataset(data, n_features).xt
-    if data.n_features != n_features:
-        raise ValidationError(f"dataset has {data.n_features} columns, expected {n_features}")
-    return data.xt
+def _feature_major(data: np.ndarray, n_features: int) -> np.ndarray:
+    """Validated (N, m) samples as a read-only C-contiguous (m, N) array."""
+    xt = np.ascontiguousarray(as_dataset(data, n_features).T)
+    xt.flags.writeable = False
+    return xt
 
 
 def _log_weighted_densities(params: GmmParams, xt: np.ndarray) -> np.ndarray:
@@ -320,17 +290,17 @@ def _epass(params: GmmParams, xt: np.ndarray) -> tuple[float, Moments]:
     return loglik, Moments(xt.shape[1], rt.sum(axis=1), rt @ xt.T, second)
 
 
-def _moments(params: GmmParams, data) -> Moments:
-    """:func:`_epass`'s moments for an (N, m) array or a :class:`Dataset`."""
+def e_step(params: GmmParams, data: np.ndarray) -> Moments:
+    """The :class:`Moments` of one E-pass at ``params`` over (N, m) samples."""
     return _epass(params, _feature_major(data, params.n_features))[1]
 
 
-def log_likelihood(params: GmmParams, data) -> float:
+def log_likelihood(params: GmmParams, data: np.ndarray) -> float:
     """Sum over samples of the log mixture density."""
     return _estep(params, _feature_major(data, params.n_features))[0]
 
 
-def responsibilities(params: GmmParams, data) -> np.ndarray:
+def responsibilities(params: GmmParams, data: np.ndarray) -> np.ndarray:
     """(N, K) posterior membership probabilities; rows sum to 1.
 
     The result is the transpose view of the internal (K, N) array.

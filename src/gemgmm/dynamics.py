@@ -1,9 +1,10 @@
 """Projected generalized EM steps and the iteration driver.
 
-The paper's GEM step is the shifted-covariance EM increment.  Production
-steps compute it in structured form from the E-pass sums
-(:class:`~gemgmm.core.Moments`) through the one M-step
-(:func:`~gemgmm.engine._m_step`):
+The paper's GEM step is the shifted-covariance EM increment.  Every
+step is a K-sized map ``(params, moments) -> GmmParams`` of the
+parameters and the E-step's sums (:class:`~gemgmm.core.Moments`, from
+:func:`~gemgmm.core.e_step`), computed in structured form through the
+one M-step (:func:`~gemgmm.engine._m_step`):
 
     d_w = counts / N - w   (centered, so the weights keep their sum),
     d_mean_j = beta_j * (new mean_j - mean_j),
@@ -11,12 +12,11 @@ steps compute it in structured form from the E-pass sums
              symmetrized,
 
 with ``beta_j = 1`` for :func:`pb_gem_step` and the design's factors for
-:func:`w_pb_gem_step`.  :func:`run` checks its data once, as a
-:class:`~gemgmm.core.Dataset` that every step accepts without a second
-scan, and makes one E-pass per iteration: the pass that scores the new
-iterate also yields the moments that the next step consumes.  The loop
-keeps only the current iterate, its log-likelihood and its moments, and
-records one :class:`TraceRecord` per iteration: one ``trace.csv`` row.
+:func:`w_pb_gem_step`.  No step reads samples: :func:`run` checks its
+data once, makes one E-pass per iterate, which scores it and gives the
+next step its moments, and keeps only the current iterate, its
+log-likelihood and its moments, recording one :class:`TraceRecord`
+(one ``trace.csv`` row) per iteration.
 
 The same step written as a projected preconditioned gradient step,
 
@@ -25,7 +25,7 @@ The same step written as a projected preconditioned gradient step,
 where the block preconditioner P maps the raw gradient to the exact
 shifted-covariance EM increment,
 
-    flatten(pb_gem_step(p)) - flatten(p) = P(p) . grad(p)   (up to roundoff),
+    flatten(pb_gem_step(p, mo)) - flatten(p) = P(p, mo) . grad(p, mo)   (up to roundoff),
 
 is kept as :class:`Preconditioner`, :func:`build_preconditioner` and
 :func:`apply_projection`.  These are identities checked by the tests;
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, GmmParams, Moments, VectorLayout, _epass, _moments
+from .core import GmmParams, Moments, VectorLayout, _epass, _feature_major
 from .engine import _checked_counts, _m_step, em_step
 from .errors import NumericalError, StepFailure, ValidationError
 
@@ -90,12 +90,11 @@ class Preconditioner:
         return self.layout.join(out_w, out_mu, out_cv)
 
 
-def build_preconditioner(params: GmmParams, data) -> Preconditioner:
-    """Evaluate the preconditioner blocks at ``params``."""
-    mo = _moments(params, data)
+def build_preconditioner(params: GmmParams, moments: Moments) -> Preconditioner:
+    """Evaluate the preconditioner blocks at ``params`` from its moments."""
     w = params.weights
-    p_weights = (np.diag(w) - np.outer(w, w)) / mo.n
-    return Preconditioner(p_weights, params.covs, _checked_counts(mo), params.layout)
+    p_weights = (np.diag(w) - np.outer(w, w)) / moments.n
+    return Preconditioner(p_weights, params.covs, _checked_counts(moments), params.layout)
 
 
 def apply_projection(vec: np.ndarray, layout: VectorLayout) -> np.ndarray:
@@ -123,10 +122,15 @@ class MeanStepWeights:
             raise ValidationError(f"betas must be a vector of positive reals, got {self.betas}")
         object.__setattr__(self, "betas", b)
 
+    def check(self, n_components: int) -> None:
+        """Raise unless there is one beta per component."""
+        if self.betas.size != n_components:
+            raise ValidationError(
+                f"need one beta per component ({n_components}), got {self.betas.size}")
 
-def _gem_step(params: GmmParams, data, moments: Moments | None,
-              betas: np.ndarray | None) -> GmmParams:
-    weights, means, covs = _m_step(_moments(params, data) if moments is None else moments)
+
+def _gem_step(params: GmmParams, moments: Moments, betas: np.ndarray | None) -> GmmParams:
+    weights, means, covs = _m_step(moments)
     d_w = weights - params.weights
     d_w -= d_w.mean()
     d_mu = means - params.means
@@ -137,54 +141,49 @@ def _gem_step(params: GmmParams, data, moments: Moments | None,
     return GmmParams(params.weights + d_w, params.means + d_mu, covs)
 
 
-def pb_gem_step(params: GmmParams, data,
-                moments: Moments | None = None) -> GmmParams:
+def pb_gem_step(params: GmmParams, moments: Moments) -> GmmParams:
     """One projected preconditioned gradient-ascent step.
 
     Coincides with the shifted-covariance EM step up to roundoff: the
     preconditioned gradient already equals the EM increment, whose weight
     block is zero-sum, so the projection (centering the weight increment)
-    only removes roundoff drift.  ``data`` and ``moments`` work as in
-    :func:`engine.em_step`.
+    only removes roundoff drift.
     """
-    return _gem_step(params, data, moments, betas=None)
+    return _gem_step(params, moments, betas=None)
 
 
-def w_pb_gem_step(params: GmmParams, data, design: MeanStepWeights,
-                  moments: Moments | None = None) -> GmmParams:
+def w_pb_gem_step(params: GmmParams, moments: Moments, design: MeanStepWeights) -> GmmParams:
     """Weighted variant: mean increments scale by ``design.betas``.
 
     With all betas equal to 1 this reproduces :func:`pb_gem_step`
-    bit-exactly.  ``moments`` works as in :func:`pb_gem_step`.
+    bit-exactly.
     """
-    if design.betas.size != params.n_components:
-        raise ValidationError(
-            f"need one beta per component ({params.n_components}), got {design.betas.size}")
-    return _gem_step(params, data, moments, betas=design.betas)
+    design.check(params.n_components)
+    return _gem_step(params, moments, betas=design.betas)
 
 
-def _step_for(algorithm: str | Callable[..., GmmParams],
-              design: MeanStepWeights | None) -> Callable[..., GmmParams]:
-    """The step that ``algorithm`` names, as ``(params, data,
-    moments=None) -> GmmParams``.
+def _step_for(algorithm: str | Callable[..., GmmParams], design: MeanStepWeights | None,
+              n_components: int) -> Callable[[GmmParams, Moments], GmmParams]:
+    """The step that ``algorithm`` names, as ``(params, moments) -> GmmParams``.
 
-    ``algorithm`` is a name in :data:`ALGORITHMS` or a custom map
-    ``(params, samples) -> GmmParams``, which gets the samples as an
-    (N, m) array.  The only place that checks the name and that a design
-    is given exactly when the algorithm is ``w_pb_gem``.  Steps are
-    looked up in this module when this is called, so a step rebound here
-    (by a tracer or a test, say) is the one that runs.
+    ``algorithm`` is a name in :data:`ALGORITHMS` or a custom map with
+    that signature.  The only place that checks the name and that a design
+    is given exactly when the algorithm is ``w_pb_gem``; it also checks
+    the design against the start point's ``n_components``, before any
+    step.  Steps are looked up in this module when this is called, so a step
+    rebound here (by a tracer or a test, say) is the one that runs.
     """
     if callable(algorithm):
         if design is not None:
             raise ValidationError("a custom update map takes no design")
-        return lambda p, d, moments=None: algorithm(p, d.x)
+        return algorithm
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if algorithm == "w_pb_gem":
         if design is None:
             raise ValidationError("w_pb_gem requires a MeanStepWeights design")
-        return lambda p, d, moments=None: w_pb_gem_step(p, d, design, moments)
+        design.check(n_components)
+        return lambda p, moments: w_pb_gem_step(p, moments, design)
     if design is not None:
         raise ValidationError(f"algorithm {algorithm!r} takes no design")
     return {"em": em_step, "pb_gem": pb_gem_step}[algorithm]
@@ -241,24 +240,24 @@ def run(params: GmmParams, data: np.ndarray, algorithm: str | Callable[..., GmmP
     :class:`StepFailure`, carrying the partial trace and the failing
     iteration index.
     """
-    step_fn = _step_for(algorithm, design)
+    step_fn = _step_for(algorithm, design, params.n_components)
     if not rel_ll_tol > 0.0:
         raise ValidationError(f"rel_ll_tol must be positive, got {rel_ll_tol}")
     if max_iters < 1:
         raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
 
-    samples = Dataset(data, params.n_features)
+    xt = _feature_major(data, params.n_features)
     t0 = time.perf_counter()
     cur = params
     # One E-pass per iterate: it scores the iterate and gives the
     # moments that the next step starts from.
-    loglik, moments = _epass(cur, samples.xt)
+    loglik, moments = _epass(cur, xt)
     records = [TraceRecord(0, loglik, 0.0)]
     reason = "max_iters"
     for k in range(1, max_iters + 1):
         try:
-            new = step_fn(cur, samples, moments=moments)
-            new_loglik, moments = _epass(new, samples.xt)
+            new = step_fn(cur, moments)
+            new_loglik, moments = _epass(new, xt)
         except NumericalError as err:
             partial = RunTrace(records, "error", cur, algorithm, time.perf_counter() - t0)
             raise StepFailure(k, partial, err) from err

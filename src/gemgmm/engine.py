@@ -1,5 +1,5 @@
 """The EM M-step, the classic EM step and the analytic log-likelihood
-gradient, all read from the E-pass sums (:class:`~gemgmm.core.Moments`).
+gradient: K-sized maps of the E-step's sums (:class:`~gemgmm.core.Moments`).
 
 :func:`_m_step` gives the shifted update, each new covariance being the
 second moment about the *current* mean: the GEM step of
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GmmParams, Moments, _moments
+from .core import GmmParams, Moments
 from .errors import DegenerateComponentError
 
 # A component whose responsibility mass falls below this fraction of N is
@@ -39,22 +39,19 @@ def _m_step(moments: Moments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return counts / moments.n, moments.first / counts[:, None], 0.5 * (c + c.transpose(0, 2, 1))
 
 
-def em_step(params: GmmParams, data, moments: Moments | None = None) -> GmmParams:
+def em_step(params: GmmParams, moments: Moments) -> GmmParams:
     """One classic EM iteration (covariances centered on the new means).
 
-    ``data`` is an (N, m) array or a :class:`~gemgmm.core.Dataset`.
-    ``moments`` may carry the E-pass sums at ``params``, as
-    :func:`~gemgmm.dynamics.run` passes them; ``data`` is then not read.
     The covariance is the shifted one minus delta delta' (delta the mean
     increment), whose relative roundoff grows like eps |delta|^2 / lambda_min(C+).
     """
-    weights, means, covs = _m_step(_moments(params, data) if moments is None else moments)
+    weights, means, covs = _m_step(moments)
     delta = means - params.means
     covs -= delta[:, :, None] * delta[:, None, :]
     return GmmParams(weights, means, covs)
 
 
-def grad_log_likelihood(params: GmmParams, data) -> np.ndarray:
+def grad_log_likelihood(params: GmmParams, moments: Moments) -> np.ndarray:
     """Gradient of the log-likelihood in the flat parameter layout.
 
     The weight block holds the unconstrained partials (sum constraint is
@@ -67,9 +64,9 @@ def grad_log_likelihood(params: GmmParams, data) -> np.ndarray:
     with ``S_j`` the responsibility mass and ``M_j`` the second moment
     about mean_j, symmetrized.
     """
-    mo = _moments(params, data)
+    counts, second = moments.counts, moments.second
     inv = np.linalg.inv(params.covs)
-    g_mu = np.einsum("kij,kj->ki", inv, mo.first - mo.counts[:, None] * params.means)
-    m2 = 0.5 * (mo.second + mo.second.transpose(0, 2, 1))
-    g_cv = 0.5 * (inv @ m2 @ inv - mo.counts[:, None, None] * inv)
-    return params.layout.join(mo.counts / params.weights, g_mu, g_cv)
+    g_mu = np.einsum("kij,kj->ki", inv, moments.first - counts[:, None] * params.means)
+    m2 = 0.5 * (second + second.transpose(0, 2, 1))
+    g_cv = 0.5 * (inv @ m2 @ inv - counts[:, None, None] * inv)
+    return params.layout.join(counts / params.weights, g_mu, g_cv)

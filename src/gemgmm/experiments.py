@@ -183,11 +183,13 @@ def _initial_params(config: ExperimentConfig, truth: GmmParams | None) -> GmmPar
 
 def _design_for(config: ExperimentConfig, algorithm: str,
                 n_components: int) -> MeanStepWeights | None:
-    """The design ``algorithm`` takes: None unless it is ``w_pb_gem``."""
+    """The design ``algorithm`` takes (None unless ``w_pb_gem``), checked against K."""
     if algorithm != "w_pb_gem":
         return None
     betas = config.beta if config.beta is not None else [DEFAULT_BETA] * n_components
-    return MeanStepWeights(np.asarray(betas, dtype=float))
+    design = MeanStepWeights(np.asarray(betas, dtype=float))
+    design.check(n_components)
+    return design
 
 
 def _outdir(config: ExperimentConfig) -> Path:

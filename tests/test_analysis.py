@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from gemgmm import (
-    DegenerateComponentError,
     GmmParams,
     MeanStepWeights,
     SectorBounds,
     SimplexViolationError,
+    StepFailure,
     ValidationError,
+    e_step,
     em_step,
     empirical_rate,
     lmi_matrix,
@@ -216,7 +217,8 @@ def test_halfway_map_classifies_mixed():
 def test_single_gaussian_fixed_point_is_newton_like(algorithm):
     rng = np.random.default_rng(223)
     x = rng.normal(1.0, 2.0, size=(60, 1))
-    p = em_step(GmmParams([1.0], [[0.0]], [np.eye(1)]), x)
+    start = GmmParams([1.0], [[0.0]], [np.eye(1)])
+    p = em_step(start, e_step(start, x))
     rep = update_map_jacobian(p, x, algorithm)
     # the weight direction is trivial for K=1: the probe is identically zero
     assert np.array_equal(rep.jacobian[:, 0], np.zeros(3))
@@ -252,16 +254,23 @@ def test_jacobian_checks_its_data_once(dataset_scans, algorithm, design):
     assert len(dataset_scans) == 1
 
 
-def test_jacobian_custom_map_gets_validated_samples():
-    p = GmmParams([1.0], [[0.0]], [np.eye(1)])
+def test_jacobian_custom_map_gets_the_probe_moments():
+    p = GmmParams([0.4, 0.6], [[-1.0], [1.0]], [np.eye(1), np.eye(1)])
+    x = [[0.0], [1.0], [3.0]]
     seen = []
 
-    def identity(q, d):
-        seen.append(d)
+    def identity(q, moments):
+        seen.append((q, moments))
         return q
 
-    update_map_jacobian(p, [[0.0], [1.0], [3.0]], identity)
-    assert all(isinstance(d, np.ndarray) and d.tolist() == [[0.0], [1.0], [3.0]] for d in seen)
+    update_map_jacobian(p, x, identity)
+    assert len(seen) == 2 * p.layout.size
+    for q, moments in seen:
+        ref = e_step(q, x)
+        assert moments.n == ref.n == 3
+        for got, want in ((moments.counts, ref.counts), (moments.first, ref.first),
+                          (moments.second, ref.second)):
+            assert np.array_equal(got, want)
 
 
 def test_jacobian_argument_validation():
@@ -275,6 +284,8 @@ def test_jacobian_argument_validation():
         update_map_jacobian(p, x, "pb_gem", design=MeanStepWeights([1.0]))
     with pytest.raises(ValidationError):
         update_map_jacobian(p, x, lambda q, d: q, design=MeanStepWeights([1.0]))
+    with pytest.raises(ValidationError, match="^need one beta per component"):
+        update_map_jacobian(p, x, "w_pb_gem", design=MeanStepWeights([1.0, 1.0]))
 
 
 def test_jacobian_probe_failure_reports_perturbation_index():
@@ -287,21 +298,14 @@ def test_jacobian_probe_failure_reports_perturbation_index():
         update_map_jacobian(p, x, "pb_gem")
 
 
-def _em_once(q, d):
-    return run(q, d, "em", max_iters=1).final_params
-
-
-@pytest.mark.parametrize("custom_map", [
-    _em_once, lambda q, d: run(q, d, _em_once, max_iters=1).final_params],
-    ids=["run", "run_of_run"])
-def test_jacobian_probe_failure_inside_run_reports_its_cause(custom_map):
-    # a custom map that calls run fails as StepFailure (nested, when the
-    # map run iterates calls run too); the probe error takes the class of
-    # the root cause and names the perturbation
+def test_jacobian_probe_failure_keeps_its_error():
+    # a map that closes over its samples may call run, which fails as
+    # StepFailure; the probe re-raises that error, naming the perturbation
     x = np.random.default_rng(0).normal(size=(50, 1))
     p = GmmParams([0.5, 0.5], [[0.0], [1000.0]], [np.eye(1), np.eye(1)])
-    with pytest.raises(DegenerateComponentError, match="perturbation 0: iteration 1"):
-        update_map_jacobian(p, x, custom_map)
+    with pytest.raises(StepFailure, match="^update step failed at perturbation 0: iteration 1") as info:
+        update_map_jacobian(p, x, lambda q, moments: run(q, x, "em", max_iters=1).final_params)
+    assert info.value.iteration == 1
 
 
 # ------------------------------------------------------------ empirical rate

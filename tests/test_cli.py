@@ -378,8 +378,11 @@ def test_failed_fit_with_an_inset_past_its_partial_trace_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["fit", "replicate", "analyze"])
-def test_beta_of_the_wrong_length_exits_2(tmp_path, capsys, command):
+def test_beta_of_the_wrong_length_exits_2(tmp_path, capsys, monkeypatch, command):
+    # the design is checked against K before any fit or probe
     dataset = make_dataset_file(tmp_path, n=60)
+    runs = []
+    monkeypatch.setattr(experiments, "run", lambda *args, **kwargs: runs.append(args))
     cfg = write_config(tmp_path / "c.json", true_model=TRUE_MODEL, dataset=dataset,
                        init=ORTHO_INIT, n_samples=60, instances=2, max_iters=50,
                        out=str(tmp_path / "out"))
@@ -389,7 +392,10 @@ def test_beta_of_the_wrong_length_exits_2(tmp_path, capsys, command):
     if command == "analyze":
         argv.append(str(tmp_path / "gen" / "truth.json"))
     assert main(argv) == 2
-    assert "need one beta per component (2), got 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "need one beta per component (2), got 3" in err
+    assert "perturbation" not in err
+    assert runs == []
 
 
 @pytest.mark.parametrize("argv_extra, missing", [

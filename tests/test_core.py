@@ -14,7 +14,7 @@ from gemgmm import (
     responsibilities,
     sample,
 )
-from gemgmm.core import Dataset, _estep, _log_weighted_densities, as_dataset
+from gemgmm.core import _estep, _feature_major, _log_weighted_densities, as_dataset, e_step
 from gemgmm.engine import em_step
 
 from conftest import (
@@ -184,7 +184,7 @@ def test_as_dataset_checks_feature_count():
 def component_density(params, j, x):
     """Weighted density of component ``j`` at the point ``x``, from the
     log-density kernel."""
-    xt = Dataset(np.reshape(x, (1, -1)), params.n_features).xt
+    xt = _feature_major(np.reshape(x, (1, -1)), params.n_features)
     return float(np.exp(_log_weighted_densities(params, xt)[j, 0]))
 
 
@@ -382,7 +382,7 @@ def test_q_function_increases_after_em_step():
     rng = np.random.default_rng(23)
     p = make_params(rng, 2, 2)
     x = make_dataset(rng, 40, 2)
-    stepped = em_step(p, x)
+    stepped = em_step(p, e_step(p, x))
     assert q_function(stepped, p, x) > q_function(p, p, x)
 
 

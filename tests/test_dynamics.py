@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gemgmm import (
-    Dataset,
     GmmParams,
     MeanStepWeights,
     StepFailure,
@@ -10,6 +9,7 @@ from gemgmm import (
     VectorLayout,
     apply_projection,
     build_preconditioner,
+    e_step,
     em_step,
     grad_log_likelihood,
     log_likelihood,
@@ -37,7 +37,7 @@ from conftest import (dense, make_dataset, make_params, recorded_iterates,
 def test_weight_block_at_uniform_two_component():
     # (diag(a) - a a') / N at a = (1/2, 1/2), N = 1
     p = GmmParams([0.5, 0.5], [[1.0], [-1.0]], [np.eye(1), np.eye(1)])
-    pre = build_preconditioner(p, [[0.0]])
+    pre = build_preconditioner(p, e_step(p, [[0.0]]))
     assert np.allclose(pre.p_weights, [[0.25, -0.25], [-0.25, 0.25]], rtol=0, atol=1e-15)
 
 
@@ -45,7 +45,7 @@ def test_scalar_blocks_hand_evaluated():
     # K=1, m=1, variance 2, four points: mass 4, so the mean block is
     # 2/4 = 0.5 and the covariance block is 2 * (2*2) / 4 = 2
     p = GmmParams([1.0], [[0.0]], [2.0 * np.eye(1)])
-    pre = build_preconditioner(p, [[0.1], [-0.2], [0.3], [0.4]])
+    pre = build_preconditioner(p, e_step(p, [[0.1], [-0.2], [0.3], [0.4]]))
     assert pre.counts[0] == pytest.approx(4.0, abs=0)
     assert pre.p_means[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
     assert dense(pre.apply, p.layout.size)[-1, -1] == pytest.approx(2.0, abs=1e-15)
@@ -55,7 +55,7 @@ def test_weight_block_rows_sum_to_zero():
     rng = np.random.default_rng(79)
     p = make_params(rng, 3, 2)
     x = make_dataset(rng, 20, 2)
-    pre = build_preconditioner(p, x)
+    pre = build_preconditioner(p, e_step(p, x))
     assert np.max(np.abs(pre.p_weights @ np.ones(3))) < 1e-15
     assert np.array_equal(pre.p_weights, pre.p_weights.T)
     assert np.all(np.linalg.eigvalsh(pre.p_weights) >= -1e-15)
@@ -65,7 +65,7 @@ def test_mean_and_cov_blocks_positive_definite():
     rng = np.random.default_rng(83)
     p = make_params(rng, 2, 3)
     x = make_dataset(rng, 25, 3)
-    pre = build_preconditioner(p, x)
+    pre = build_preconditioner(p, e_step(p, x))
     full = dense(pre.apply, p.layout.size)
     for j in range(2):
         assert np.all(np.linalg.eigvalsh(pre.p_means[j]) > 0)
@@ -79,7 +79,7 @@ def test_structural_apply_matches_assembled_matrix():
     rng = np.random.default_rng(89)
     p = make_params(rng, 2, 2)
     x = make_dataset(rng, 15, 2)
-    pre = build_preconditioner(p, x)
+    pre = build_preconditioner(p, e_step(p, x))
     # the block formulas: weights, C_j / S_j, 2 (C_j (x) C_j) / S_j, at
     # the flat offsets for K=2, m=2: weights 0-1, mean j at 2+2j,
     # covariance j at 6+4j
@@ -101,7 +101,7 @@ def test_cov_block_kronecker_identity():
     rng = np.random.default_rng(97)
     p = make_params(rng, 1, 3)
     x = make_dataset(rng, 12, 3)
-    pre = build_preconditioner(p, x)
+    pre = build_preconditioner(p, e_step(p, x))
     v = rng.normal(size=(3, 3))
     vec = p.layout.join(np.zeros(1), np.zeros((1, 3)), v[None])
     out = pre.apply(vec)
@@ -116,7 +116,7 @@ def test_preconditioner_rejects_starved_component():
     x = rng.normal(0.0, 1.0, size=(40, 1))
     p = GmmParams([0.5, 0.5], [[0.0], [1000.0]], [np.eye(1), np.eye(1)])
     with pytest.raises(DegenerateComponentError):
-        build_preconditioner(p, x)
+        build_preconditioner(p, e_step(p, x))
 
 
 # ---------------------------------------------------------------- projection
@@ -168,8 +168,9 @@ def test_projection_rejects_wrong_length():
 def test_pb_step_is_identity_at_fixed_point():
     rng = np.random.default_rng(31)
     x = make_dataset(rng, 25, 2)
-    p = em_step(GmmParams([1.0], [[5.0, -3.0]], [4.0 * np.eye(2)]), x)
-    out = pb_gem_step(p, x)
+    start = GmmParams([1.0], [[5.0, -3.0]], [4.0 * np.eye(2)])
+    p = em_step(start, e_step(start, x))
+    out = pb_gem_step(p, e_step(p, x))
     assert np.max(np.abs(out.to_vector() - p.to_vector())) < 1e-12
 
 
@@ -181,7 +182,7 @@ def test_preconditioned_gradient_equals_shifted_increment(k, m, n, seed):
     p = make_params(rng, k, m)
     x = make_dataset(rng, n, m)
     increment = reference_shifted_em_step(p, x).to_vector() - p.to_vector()
-    pre_grad = build_preconditioner(p, x).apply(grad_log_likelihood(p, x))
+    pre_grad = build_preconditioner(p, e_step(p, x)).apply(grad_log_likelihood(p, e_step(p, x)))
     assert np.linalg.norm(pre_grad - increment) <= 1e-8 * np.linalg.norm(increment)
 
 
@@ -192,7 +193,7 @@ def test_pb_step_matches_shifted_em(k, m, n, seed):
     rng = np.random.default_rng(7100 + seed)
     p = make_params(rng, k, m)
     x = make_dataset(rng, n, m)
-    a = pb_gem_step(p, x).to_vector()
+    a = pb_gem_step(p, e_step(p, x)).to_vector()
     b = reference_shifted_em_step(p, x).to_vector()
     assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
 
@@ -202,7 +203,7 @@ def test_pb_step_weight_sum_and_likelihood():
     rng = np.random.default_rng(107)
     p = make_params(rng, 3, 2)
     x = make_dataset(rng, 60, 2)
-    out = pb_gem_step(p, x)
+    out = pb_gem_step(p, e_step(p, x))
     assert abs(out.weights.sum() - 1.0) < 1e-12
     assert log_likelihood(out, x) > log_likelihood(p, x) - 1e-12
 
@@ -211,8 +212,8 @@ def test_weighted_step_with_unit_betas_is_bit_exact():
     rng = np.random.default_rng(109)
     p = make_params(rng, 2, 2)
     x = make_dataset(rng, 30, 2)
-    a = pb_gem_step(p, x)
-    b = w_pb_gem_step(p, x, MeanStepWeights([1.0, 1.0]))
+    a = pb_gem_step(p, e_step(p, x))
+    b = w_pb_gem_step(p, e_step(p, x), MeanStepWeights([1.0, 1.0]))
     assert np.array_equal(a.to_vector(), b.to_vector())
 
 
@@ -220,8 +221,8 @@ def test_weighted_step_scales_only_mean_increments():
     rng = np.random.default_rng(113)
     p = make_params(rng, 2, 2)
     x = make_dataset(rng, 30, 2)
-    pb = pb_gem_step(p, x)
-    w = w_pb_gem_step(p, x, MeanStepWeights([0.996, 0.996]))
+    pb = pb_gem_step(p, e_step(p, x))
+    w = w_pb_gem_step(p, e_step(p, x), MeanStepWeights([0.996, 0.996]))
     pb_step = pb.means - p.means
     w_step = w.means - p.means
     assert np.allclose(w_step, 0.996 * pb_step, rtol=1e-12, atol=1e-12)
@@ -233,8 +234,8 @@ def test_weighted_step_per_component_scaling():
     rng = np.random.default_rng(127)
     p = make_params(rng, 2, 2)
     x = make_dataset(rng, 30, 2)
-    pb = pb_gem_step(p, x)
-    w = w_pb_gem_step(p, x, MeanStepWeights([0.5, 1.0]))
+    pb = pb_gem_step(p, e_step(p, x))
+    w = w_pb_gem_step(p, e_step(p, x), MeanStepWeights([0.5, 1.0]))
     assert np.allclose(w.means[0] - p.means[0], 0.5 * (pb.means[0] - p.means[0]),
                        rtol=1e-12, atol=1e-14)
     assert np.allclose(w.means[1], pb.means[1], rtol=0, atol=1e-14)
@@ -250,7 +251,7 @@ def test_design_validation():
     rng = np.random.default_rng(131)
     p = make_params(rng, 2, 1)
     with pytest.raises(ValidationError):
-        w_pb_gem_step(p, make_dataset(rng, 10, 1), MeanStepWeights([0.9]))
+        w_pb_gem_step(p, e_step(p, make_dataset(rng, 10, 1)), MeanStepWeights([0.9]))
 
 
 # ----------------------------------------------------------------- run loop
@@ -261,7 +262,8 @@ TRUTH = GmmParams([0.5, 0.5], [[1.0, 1.0], [-1.0, -1.0]], [np.eye(2), np.eye(2)]
 def test_run_from_fixed_point_stops_after_one_iteration():
     rng = np.random.default_rng(137)
     x = make_dataset(rng, 25, 2)
-    p = em_step(GmmParams([1.0], [[0.0, 0.0]], [np.eye(2)]), x)
+    start = GmmParams([1.0], [[0.0, 0.0]], [np.eye(2)])
+    p = em_step(start, e_step(start, x))
     trace = run(p, x, "pb_gem")
     assert trace.iterations == 1
     assert trace.reason == "tolerance"
@@ -319,6 +321,8 @@ def test_run_argument_validation():
         run(TRUTH, data, "w_pb_gem")  # missing design
     with pytest.raises(ValidationError):
         run(TRUTH, data, "em", design=MeanStepWeights([1.0, 1.0]))
+    with pytest.raises(ValidationError, match="need one beta per component"):
+        run(TRUTH, data, "w_pb_gem", design=MeanStepWeights([1.0]))
     with pytest.raises(ValidationError):
         run(TRUTH, data, "em", rel_ll_tol=0.0)
     with pytest.raises(ValidationError):
@@ -330,7 +334,7 @@ W_DESIGN = MeanStepWeights([0.9, 0.7])
 HAND_STEPS = {
     "em": em_step,
     "pb_gem": pb_gem_step,
-    "w_pb_gem": lambda p, x: w_pb_gem_step(p, x, W_DESIGN),
+    "w_pb_gem": lambda p, moments: w_pb_gem_step(p, moments, W_DESIGN),
 }
 
 
@@ -344,7 +348,7 @@ def test_run_is_bit_equal_to_hand_loop(algorithm):
     p = START
     logliks = [log_likelihood(p, data)]
     for _ in range(5):
-        p = HAND_STEPS[algorithm](p, data)
+        p = HAND_STEPS[algorithm](p, e_step(p, data))
         logliks.append(log_likelihood(p, data))
     assert trace.reason == "max_iters"
     assert trace.logliks.tolist() == logliks
@@ -353,7 +357,7 @@ def test_run_is_bit_equal_to_hand_loop(algorithm):
 
 def test_run_accepts_a_custom_map():
     data = sample(TRUTH, 1000, 13001)
-    custom = lambda p, x: em_step(p, x)
+    custom = lambda p, moments: em_step(p, moments)
     trace = run(START, data, custom, max_iters=300, rel_ll_tol=1e-300)
     named = run(START, data, "em", max_iters=300, rel_ll_tol=1e-300)
     assert trace.logliks.tolist() == named.logliks.tolist()
@@ -388,20 +392,22 @@ def test_run_checks_its_data_once(dataset_scans, algorithm):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_steps_take_arrays_lists_and_datasets_alike(dataset_scans, algorithm):
+    # samples reach a step only through the E-step, which scans them once
+    # in whichever form they come; the step itself scans nothing
     data = sample(TRUTH, 60, 181)
     step = HAND_STEPS[algorithm]
-    ref = step(START, data).to_vector()
+    moments = e_step(START, data)
     assert len(dataset_scans) == 1
-    assert np.array_equal(step(START, data.tolist()).to_vector(), ref)
-    samples = Dataset(data, 2)
-    assert len(dataset_scans) == 3
-    assert np.array_equal(step(START, samples).to_vector(), ref)
-    assert len(dataset_scans) == 3
+    ref = step(START, moments).to_vector()
+    assert np.array_equal(step(START, e_step(START, data.tolist())).to_vector(), ref)
+    assert len(dataset_scans) == 2
+    assert np.array_equal(step(START, moments).to_vector(), ref)
+    assert len(dataset_scans) == 2
 
 
 def test_dataset_rejects_feature_mismatch():
     with pytest.raises(ValidationError):
-        pb_gem_step(START, Dataset(np.zeros((4, 3))))
+        e_step(START, np.zeros((4, 3)))
 
 
 def test_run_wraps_step_failures_with_partial_trace():
