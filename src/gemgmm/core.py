@@ -17,10 +17,15 @@ Data layout.  The public functions take samples as an (N, m) array, one
 sample per row (:func:`as_dataset` checks that form), and give
 responsibilities as an (N, K) array.  Internally the kernels hold the
 validated samples feature-major, as one read-only C-contiguous (m, N)
-array (:func:`_feature_major`), and the responsibilities as (K, N), so
-every broadcast and reduction over the samples runs along a contiguous
-row of length N.  The public (N, K) responsibilities are the transpose
-view of the internal array.
+array (:func:`_feature_major`).  A pass factors the parameters once and
+then walks the samples in blocks of ``EPASS_BLOCK`` columns: per block
+it forms the centred stack x - mean_j (K, m, b) once, gets the (K, b)
+log-densities and responsibilities from it, and adds the block's part
+to the log-likelihood and the moments.  Its temporaries are O(K*m*B)
+for any N, not O(K*N).  The block width is fixed, so the summation
+order is too; it differs from one sum over all N at roundoff.  The
+public (N, K) responsibilities are the transpose view of a (K, N) array
+filled block by block.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ WEIGHT_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# Samples per block of the E-pass: the pass holds O(K * m * EPASS_BLOCK)
+# temporaries, whatever N.  Fixed, so the summation order is too.
+EPASS_BLOCK = 8192
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -211,52 +220,78 @@ def _feature_major(data: np.ndarray, n_features: int) -> np.ndarray:
     return xt
 
 
-def _log_weighted_densities(params: GmmParams, xt: np.ndarray) -> np.ndarray:
-    """(K, N) matrix of log(w_j * N(x | mean_j, cov_j)), one row per component.
-
-    ``xt`` holds validated samples feature-major, (m, N).  The triangular
-    solve with each Cholesky factor is a product with its inverse,
-    factored once per call; the log-determinants and constants are
-    K-vectors; the loop over components reuses two m x N buffers.
-    """
-    k, m = params.n_components, params.n_features
-    inv_chol = np.linalg.inv(params._chol)
+def _factors(params: GmmParams) -> tuple[np.ndarray, np.ndarray]:
+    """The per-pass factors of the log-density kernel: the (K, m, m)
+    inverse Cholesky factors and the K-vector
+    log w_j - (m log 2pi + log det cov_j) / 2."""
     logdet = 2.0 * np.sum(np.log(np.diagonal(params._chol, axis1=1, axis2=2)), axis=1)
-    const = m * _LOG_2PI + logdet
-    maha = np.empty((k, xt.shape[1]))
-    d, y = np.empty_like(xt), np.empty_like(xt)
-    for j in range(k):
-        np.subtract(xt, params.means[j][:, None], out=d)
-        np.matmul(inv_chol[j], d, out=y)
-        np.einsum("ij,ij->j", y, y, out=maha[j])
-    maha += const[:, None]
-    maha *= -0.5
-    maha += np.log(params.weights)[:, None]
-    return maha
+    log_norm = np.log(params.weights) - 0.5 * (params.n_features * _LOG_2PI + logdet)
+    return np.linalg.inv(params._chol), log_norm
+
+
+def _log_weighted_densities(d: np.ndarray, inv_chol: np.ndarray, log_norm: np.ndarray,
+                            work: np.ndarray) -> np.ndarray:
+    """(K, b) matrix of log(w_j * N(x | mean_j, cov_j)), one row per component.
+
+    ``d`` is the centred stack x - mean_j of b samples, (K, m, b);
+    ``inv_chol`` and ``log_norm`` are the factors of :func:`_factors`.
+    The triangular solve with each Cholesky factor is one batched product
+    with its inverse, written into ``work``, a (K, m, b) scratch array.
+    """
+    y = np.matmul(inv_chol, d, out=work)
+    out = np.einsum("kib,kib->kb", y, y)
+    out *= -0.5
+    out += log_norm[:, None]
+    return out
+
+
+def _blocks(params: GmmParams, xt: np.ndarray):
+    """One E-pass over validated (m, N) samples ``xt``, block by block.
+
+    The parameters are factored once, and two (K, m, b) buffers are
+    allocated once.  For each block of b <= ``EPASS_BLOCK`` samples this
+    yields ``(start, d, work, h, loglik)``: the index of its first
+    sample, its centred stack d (K, m, b), a (K, m, b) scratch array the
+    caller may overwrite, its (K, b) responsibilities and its part of
+    the log-likelihood.  The log-sum-exp and the normalization reduce
+    over the component axis and run in place: the log-density buffer
+    becomes the responsibilities.
+    """
+    k, n = params.n_components, xt.shape[1]
+    inv_chol, log_norm = _factors(params)
+    centres = params.means[:, :, None]
+    size = k * params.n_features * min(n, EPASS_BLOCK)
+    d_buf, work_buf = np.empty(size), np.empty(size)
+    for start in range(0, n, EPASS_BLOCK):
+        xb = xt[:, start:start + EPASS_BLOCK]
+        shape = (k,) + xb.shape
+        d = np.subtract(xb, centres, out=d_buf[:xb.size * k].reshape(shape))
+        work = work_buf[:xb.size * k].reshape(shape)
+        h = _log_weighted_densities(d, inv_chol, log_norm, work)
+        shift = h.max(axis=0)
+        shift[~np.isfinite(shift)] = 0.0
+        h -= shift
+        np.exp(h, out=h)
+        total = h.sum(axis=0)
+        with np.errstate(divide="ignore"):
+            lse = np.log(total)
+        lse += shift
+        if not np.all(np.isfinite(lse)):
+            bad = start + int(np.flatnonzero(~np.isfinite(lse))[0])
+            raise NumericUnderflowError(f"mixture density underflowed at sample {bad}")
+        h /= total
+        yield start, d, work, h, float(lse.sum())
 
 
 def _estep(params: GmmParams, xt: np.ndarray) -> tuple[float, np.ndarray]:
-    """One log-density pass: the log-likelihood and the (K, N)
-    responsibilities at ``params`` for validated (m, N) samples ``xt``.
-
-    The log-sum-exp and the normalization reduce over the component axis
-    of the (K, N) log-densities, i.e. over contiguous rows, and run in
-    place: the log-density buffer becomes the responsibilities.
-    """
-    dens = _log_weighted_densities(params, xt)
-    shift = dens.max(axis=0)
-    shift[~np.isfinite(shift)] = 0.0
-    dens -= shift
-    np.exp(dens, out=dens)
-    total = dens.sum(axis=0)
-    with np.errstate(divide="ignore"):
-        lse = np.log(total)
-    lse += shift
-    if not np.all(np.isfinite(lse)):
-        bad = int(np.flatnonzero(~np.isfinite(lse))[0])
-        raise NumericUnderflowError(f"mixture density underflowed at sample {bad}")
-    dens /= total
-    return float(lse.sum()), dens
+    """The log-likelihood and the (K, N) responsibilities at ``params``
+    for validated (m, N) samples ``xt``, from one blocked pass."""
+    loglik = 0.0
+    resp = np.empty((params.n_components, xt.shape[1]))
+    for start, _, _, h, part in _blocks(params, xt):
+        loglik += part
+        resp[:, start:start + h.shape[1]] = h
+    return loglik, resp
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,19 +310,18 @@ class Moments:
 
 def _epass(params: GmmParams, xt: np.ndarray) -> tuple[float, Moments]:
     """The log-likelihood and the :class:`Moments` at ``params`` for
-    validated (m, N) samples ``xt``: one log-density pass, then one
-    sweep per component through two reused m x N buffers."""
-    loglik, rt = _estep(params, xt)
-    second = np.empty_like(params.covs)
-    d, rd = np.empty_like(xt), np.empty_like(xt)
-    for j in range(params.n_components):
-        np.subtract(xt, params.means[j][:, None], out=d)
-        np.multiply(rt[j], d, out=rd)
-        second[j] = rd @ d.T
-    # Free the buffers before rt: freed the other way round, each step at
-    # N=2e5 takes ~780 more page faults (3.2 MB) under glibc's malloc.
-    del d, rd
-    return loglik, Moments(xt.shape[1], rt.sum(axis=1), rt @ xt.T, second)
+    validated (m, N) samples ``xt``: one blocked pass that adds each
+    block's part to the sums, the second moment from the block's
+    centred stack."""
+    k, m = params.n_components, params.n_features
+    loglik = 0.0
+    counts, first, second = np.zeros(k), np.zeros((k, m)), np.zeros((k, m, m))
+    for start, d, work, h, part in _blocks(params, xt):
+        loglik += part
+        counts += h.sum(axis=1)
+        first += h @ xt[:, start:start + h.shape[1]].T
+        second += np.matmul(np.multiply(h[:, None, :], d, out=work), d.transpose(0, 2, 1))
+    return loglik, Moments(xt.shape[1], counts, first, second)
 
 
 def e_step(params: GmmParams, data: np.ndarray) -> Moments:

@@ -170,7 +170,8 @@ def q_function(params, params_prev, data):
     """
     xt = core._feature_major(data, params.n_features)
     h = core._estep(params_prev, xt)[1]
-    lw = core._log_weighted_densities(params, xt)
+    d = xt - params.means[:, :, None]
+    lw = core._log_weighted_densities(d, *core._factors(params), np.empty_like(d))
     with np.errstate(invalid="ignore"):
         terms = np.where(h > 0.0, h * lw, 0.0)
     total = float(terms.sum())

@@ -14,7 +14,16 @@ from gemgmm import (
     responsibilities,
     sample,
 )
-from gemgmm.core import _estep, _feature_major, _log_weighted_densities, as_dataset, e_step
+from gemgmm.core import (
+    EPASS_BLOCK,
+    _epass,
+    _estep,
+    _factors,
+    _feature_major,
+    _log_weighted_densities,
+    as_dataset,
+    e_step,
+)
 from gemgmm.engine import em_step
 
 from conftest import (
@@ -26,6 +35,7 @@ from conftest import (
     naive_responsibilities,
     q_function,
     reference_estep,
+    reference_m_step,
     theta_split,
 )
 
@@ -185,7 +195,8 @@ def component_density(params, j, x):
     """Weighted density of component ``j`` at the point ``x``, from the
     log-density kernel."""
     xt = _feature_major(np.reshape(x, (1, -1)), params.n_features)
-    return float(np.exp(_log_weighted_densities(params, xt)[j, 0]))
+    d = xt - params.means[:, :, None]
+    return float(np.exp(_log_weighted_densities(d, *_factors(params), np.empty_like(d))[j, 0]))
 
 
 def test_component_density_standard_bivariate_peak():
@@ -317,6 +328,51 @@ def test_estep_reports_underflow():
     p = GmmParams([0.5, 0.5], [[0.0], [1.0]], [np.eye(1), np.eye(1)])
     with pytest.raises(NumericUnderflowError):
         _estep(p, np.array([[0.0, 1e300]]))
+
+
+# Sample counts at and across the edges of the E-pass blocks, and two
+# (K, m) of ORACLE_SHAPES.  The blocked sums differ from the references
+# only in summation order, so they agree to 1e-12 relative; a sample
+# lost or counted twice at a block edge moves the counts by ~1e-4.
+BLOCK_EDGE_NS = [EPASS_BLOCK, EPASS_BLOCK + 1, 2 * EPASS_BLOCK + 17]
+BLOCK_EDGE_TOL = 1e-12
+
+
+def _max_rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_NS)
+@pytest.mark.parametrize("k, m", [(2, 2), (8, 16)])
+def test_epass_across_block_edges_matches_references(k, m, n):
+    rng = np.random.default_rng(700 + 10 * k + m)
+    p = make_params(rng, k, m)
+    x = make_dataset(rng, n, m)
+    loglik, moments = _epass(p, _feature_major(x, m))
+    ref_ll, ref_h = reference_estep(p, x)
+    weights, means, covs = reference_m_step(p, x, ref_h, shifted=True)
+    counts = moments.counts
+    assert moments.n == n
+    assert abs(loglik - ref_ll) <= BLOCK_EDGE_TOL * abs(ref_ll)
+    assert _max_rel_err(counts, ref_h.sum(axis=0)) <= BLOCK_EDGE_TOL
+    assert _max_rel_err(counts / n, weights) <= BLOCK_EDGE_TOL
+    assert _max_rel_err(moments.first / counts[:, None], means) <= BLOCK_EDGE_TOL
+    assert _max_rel_err(moments.second / counts[:, None, None], covs) <= BLOCK_EDGE_TOL
+    assert log_likelihood(p, x) == loglik
+    ll, h = _estep(p, _feature_major(x, m))
+    assert ll == loglik
+    assert np.max(np.abs(h.T - ref_h)) <= 1e-14
+
+
+def test_underflow_names_the_global_sample_index():
+    p = GmmParams([0.5, 0.5], [[0.0], [1.0]], [np.eye(1), np.eye(1)])
+    x = np.zeros((2 * EPASS_BLOCK + 17, 1))
+    bad = 2 * EPASS_BLOCK + 5
+    x[bad] = 1e300
+    xt = _feature_major(x, 1)
+    for epass in (_epass, _estep):
+        with pytest.raises(NumericUnderflowError, match=rf"at sample {bad}$"):
+            epass(p, xt)
 
 
 # ---------------------------------------------------------- responsibilities

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -364,21 +366,39 @@ def test_run_accepts_a_custom_map():
     assert trace.algorithm is custom
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_run_makes_one_density_pass_per_iterate(monkeypatch, algorithm):
-    passes = []
+@pytest.fixture
+def density_calls(monkeypatch):
+    """A list that gets one entry per call of the log-density kernel."""
+    calls = []
     original = core._log_weighted_densities
 
-    def counted(params, x):
-        passes.append(params)
-        return original(params, x)
+    def counted(*args):
+        calls.append(len(args))
+        return original(*args)
 
     monkeypatch.setattr(core, "_log_weighted_densities", counted)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_makes_one_density_pass_per_iterate(density_calls, algorithm):
     data = sample(TRUTH, 200, 173)
     design = W_DESIGN if algorithm == "w_pb_gem" else None
     trace = run(TRUTH, data, algorithm, design=design, max_iters=400)
     assert trace.reason == "tolerance"
-    assert len(passes) == trace.iterations + 1
+    assert len(density_calls) == trace.iterations + 1
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_makes_one_density_call_per_block_at_large_n(density_calls, algorithm):
+    # two full blocks and a partial one: each pass calls the kernel once
+    # per block
+    n = 2 * core.EPASS_BLOCK + 17
+    data = sample(TRUTH, n, 173)
+    design = W_DESIGN if algorithm == "w_pb_gem" else None
+    trace = run(TRUTH, data, algorithm, design=design, max_iters=400)
+    assert trace.reason == "tolerance"
+    assert len(density_calls) == (trace.iterations + 1) * math.ceil(n / core.EPASS_BLOCK)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
