@@ -7,7 +7,11 @@ certified by a 2x2 linear matrix inequality; its closed-form optimum is
 ``max(|1 - m_lo|, |1 - L_hi|)``, and :func:`rate_certificate`
 cross-checks that closed form through the LMI route rather than reusing
 it, on a grid of spacing ``GRID_RESOLUTION``.  :func:`update_map_jacobian`
-differentiates an update map by central differences of step ``FD_STEP``.
+differentiates an update map at any point, fixed or not: one tangent
+pass over the samples gives the E-step's moments and their exact
+derivative, and central differences of step ``FD_STEP`` run through the
+K-sized step alone, so the finite-difference noise floor is that of the
+step's arithmetic, not of a sum over N samples.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GmmParams, _epass, _feature_major
+from .core import GmmParams, Moments, _epass_tangent, _feature_major
 from .dynamics import MeanStepWeights, RunTrace, _step_for
 from .errors import GemGmmError, ValidationError
 
@@ -25,8 +29,9 @@ from .errors import GemGmmError, ValidationError
 # much slack; the matrix is 2x2, so no external solver is involved.
 LMI_TOL = 1e-10
 
-# The LMI grid spacing and the central-difference step are fixed;
-# analysis.json records both next to the results they produced.
+# The LMI grid spacing and the central-difference step of the K-sized
+# step are fixed; analysis.json records both next to the results they
+# produced.
 GRID_RESOLUTION = 1e-3
 FD_STEP = 1e-6
 
@@ -65,7 +70,7 @@ class RateCertificate:
 
 @dataclass(frozen=True)
 class JacobianReport:
-    """Finite-difference Jacobian of an update map plus its spectrum."""
+    """Jacobian of an update map (see :func:`update_map_jacobian`) plus its spectrum."""
 
     jacobian: np.ndarray
     moduli: np.ndarray          # eigenvalue moduli, sorted descending
@@ -125,14 +130,19 @@ def _probe_directions(layout):
 
 def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
                         design: MeanStepWeights | None = None) -> JacobianReport:
-    """Central finite-difference Jacobian of an update map at ``params``,
-    with step ``FD_STEP``.
+    """Jacobian of an update map at ``params``: central differences of
+    step ``FD_STEP`` through the K-sized step, fed the exact derivative of
+    the E-step's moments.
 
     ``algorithm`` is one of :data:`~gemgmm.dynamics.ALGORITHMS`
     (``"w_pb_gem"`` with ``design``), or a custom map ``(params, moments)
-    -> GmmParams`` that takes no design.  ``data`` is checked once for
-    all probes, and each probe point ``p`` maps to ``step(p, e_step(p,
-    data))``.  Columns follow the flat layout; probes along constrained
+    -> GmmParams`` that takes no design.  ``data`` is checked once, and
+    one tangent pass over it (:func:`~gemgmm.core._epass_tangent`) gives
+    the moments M at ``params`` and their derivative T, at any point,
+    fixed or not.  A probe along direction v then maps ``params +- h v``
+    to ``step(params +- h v, M +- h T v)``: no probe makes a pass over
+    the samples, and every map, built-in or custom, goes through this
+    one route.  Columns follow the flat layout; probes along constrained
     coordinates stay on the constraint set (see
     :func:`_probe_directions`), so directions orthogonal to it contribute
     zero columns (for K=1 the weight direction is trivial).  Eigenvalue
@@ -140,26 +150,30 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
     moduli near 1 mean first-order behavior.
     """
     step = _step_for(algorithm, design, params.n_components)
-    xt = _feature_major(data, params.n_features)
+    moments, tangent = _epass_tangent(params, _feature_major(data, params.n_features))
     layout = params.layout
     base = params.to_vector()
     k, m = layout.n_components, layout.n_features
-    jac = np.empty((layout.size, layout.size))
+    directions = np.array(list(_probe_directions(layout)))
+    moved = directions @ tangent.T
+    columns = np.zeros((layout.size, layout.size))
 
-    def probe(vec):
-        p = GmmParams.from_vector(vec, k, m)
-        return step(p, _epass(p, xt)[1]).to_vector()
+    def probe(idx, sign):
+        dc, df, ds = layout.split(sign * FD_STEP * moved[idx])
+        p = GmmParams.from_vector(base + sign * FD_STEP * directions[idx], k, m)
+        mo = Moments(moments.n, moments.counts + dc, moments.first + df, moments.second + ds)
+        return step(p, mo).to_vector()
 
-    for idx, direction in enumerate(_probe_directions(layout)):
+    for idx, direction in enumerate(directions):
         if not direction.any():
-            jac[:, idx] = 0.0
             continue
         try:
-            plus, minus = probe(base + FD_STEP * direction), probe(base - FD_STEP * direction)
+            plus, minus = probe(idx, 1.0), probe(idx, -1.0)
         except GemGmmError as err:
             err.args = (f"update step failed at perturbation {idx}: {err}",)
             raise
-        jac[:, idx] = (plus - minus) / (2.0 * FD_STEP)
+        columns[idx] = (plus - minus) / (2.0 * FD_STEP)
+    jac = columns.T
     moduli = np.sort(np.abs(np.linalg.eigvals(jac)))[::-1]
     top = moduli[0]
     if top < NEWTON_LIKE_MAX_MODULUS:

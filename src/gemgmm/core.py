@@ -26,6 +26,13 @@ for any N, not O(K*N).  The block width is fixed, so the summation
 order is too; it differs from one sum over all N at roundoff.  The
 public (N, K) responsibilities are the transpose view of a (K, N) array
 filled block by block.
+
+Tangent pass.  :func:`_epass_tangent` walks the same blocks and gives
+the moments together with their exact derivative in the parameters, at
+any point: the derivative of the responsibilities is the complete-data
+score about its posterior mean, so one pass sums K Gram matrices of
+g = (1, d, vec(d d')) and one Gram matrix of their h-weighted stack.
+The update-map Jacobian reads it (:mod:`gemgmm.analysis`).
 """
 
 from __future__ import annotations
@@ -322,6 +329,73 @@ def _epass(params: GmmParams, xt: np.ndarray) -> tuple[float, Moments]:
         first += h @ xt[:, start:start + h.shape[1]].T
         second += np.matmul(np.multiply(h[:, None, :], d, out=work), d.transpose(0, 2, 1))
     return loglik, Moments(xt.shape[1], counts, first, second)
+
+
+def _epass_tangent(params: GmmParams, xt: np.ndarray) -> tuple[Moments, np.ndarray]:
+    """The :class:`Moments` at ``params`` for validated (m, N) samples
+    ``xt`` and their exact derivative in the parameters, from one blocked
+    pass.
+
+    The derivative is a (D, D) matrix in the flat layout: column i is the
+    change of ``layout.join(counts, first, second)`` per unit change of
+    parameter coordinate i.  Per component j and sample t the pass forms
+    g_tj = (1, d_tj, vec(d_tj d_tj')), d_tj = x_t - mu_j, and sums the
+    Gram matrices W_j = sum_t h_tj g_tj g_tj' and C = G G', where G
+    stacks h_tj g_tj over j.  A direction v changes log(w_j N_j(x_t)) by
+    (L_j' v_j)' g_tj (the complete-data score), so the responsibilities
+    move by h_tj (L_j' v_j . g_tj - sum_k h_tk L_k' v_k . g_tk) and the
+    moments by R (blockdiag_j W_j - C) L' v, R_j mapping g to
+    (1, x, vec(d d')); the second moment about mu_j also moves with mu_j
+    itself, by -(dmu_j r_j' + r_j dmu_j'), r_j = sum_t h_tj d_tj.  This
+    is the missing-information term of Louis (1982).  The pass costs
+    O(N (K p)^2), p = 1 + m + m^2, and holds two (K, p, b) buffers.
+    """
+    k, m = params.n_components, params.n_features
+    p = 1 + m + m * m
+    counts, first, second = np.zeros(k), np.zeros((k, m)), np.zeros((k, m, m))
+    # tangent holds -C until the pass is over.
+    own, tangent = np.zeros((k, p, p)), np.zeros((k * p, k * p))
+    size = k * p * min(xt.shape[1], EPASS_BLOCK)
+    g_buf, hg_buf = np.empty(size), np.empty(size)
+    for start, d, work, h, _ in _blocks(params, xt):
+        b = h.shape[1]
+        counts += h.sum(axis=1)
+        first += h @ xt[:, start:start + b].T
+        second += np.matmul(np.multiply(h[:, None, :], d, out=work), d.transpose(0, 2, 1))
+        g = g_buf[:k * p * b].reshape(k, p, b)
+        g[:, 0] = 1.0
+        g[:, 1:1 + m] = d
+        np.multiply(d[:, :, None, :], d[:, None, :, :], out=g[:, 1 + m:].reshape(k, m, m, b))
+        hg = np.multiply(h[:, None, :], g, out=hg_buf[:k * p * b].reshape(k, p, b))
+        own += np.matmul(hg, g.transpose(0, 2, 1))
+        stacked = hg.reshape(k * p, b)
+        tangent -= stacked @ stacked.T
+
+    # score[j] is L_j': a direction (dw_j, dmu_j, vec dC_j) to its
+    # coefficients on g.
+    inv_chol = _factors(params)[0]
+    prec = inv_chol.transpose(0, 2, 1) @ inv_chol
+    score = np.zeros((k, p, p))
+    score[:, 0, 0] = 1.0 / params.weights
+    score[:, 0, 1 + m:] = -0.5 * prec.reshape(k, m * m)
+    score[:, 1:1 + m, 1:1 + m] = prec
+    score[:, 1 + m:, 1 + m:] = 0.5 * (prec[:, :, None, :, None]
+                                      * prec[:, None, :, None, :]).reshape(k, m * m, m * m)
+    r = own[:, 1:1 + m, 0]
+    eye = np.eye(m)
+    centring = (eye[None, :, None, :] * r[:, None, :, None]
+                + r[:, :, None, None] * eye[None, None, :, :]).reshape(k, m * m, m)
+    rows = tangent.reshape(k, p, k * p)
+    for j in range(k):
+        cols = slice(j * p, (j + 1) * p)
+        rows[j, :, cols] += own[j]
+        tangent[:, cols] = tangent[:, cols] @ score[j]
+        rows[j, 1 + m:, j * p + 1:j * p + 1 + m] -= centring[j]
+    rows[:, 1:1 + m] += params.means[:, :, None] * rows[:, :1]
+    # Component-major rows and columns to the flat layout.
+    idx = np.arange(k * p).reshape(k, p)
+    order = params.layout.join(idx[:, 0], idx[:, 1:1 + m], idx[:, 1 + m:].reshape(k, m, m)).astype(np.intp)
+    return Moments(xt.shape[1], counts, first, second), tangent[np.ix_(order, order)]
 
 
 def e_step(params: GmmParams, data: np.ndarray) -> Moments:

@@ -35,7 +35,11 @@ because the benchmark tracer (``perfbench/tracing.py``) names them.
 
 :func:`_step_for` is the one place that turns an algorithm name (and a
 design, for ``w_pb_gem``) or a custom map into its step; :func:`run` and
-:func:`~gemgmm.analysis.update_map_jacobian` both go through it.
+:func:`~gemgmm.analysis.update_map_jacobian` both go through it.  The
+Jacobian feeds the step the moments of one tangent pass
+(:func:`~gemgmm.core._epass_tangent`) moved along their exact
+derivative, so it differentiates the same K-sized step that :func:`run`
+iterates without a pass over the samples per probe.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ kernels written over sample-major (N, m) data, the reference for the
 package's feature-major (m, N) kernels; ``reference_shifted_em_step``
 is the shifted EM route built from them.  ``q_function`` (the EM
 surrogate that a GEM step increases) and ``lmi_check`` (the rate LMI at
-one grid point) are oracles for the steps and the rate certificate.
+one grid point) are oracles for the steps and the rate certificate;
+``fd_update_map_jacobian`` (central differences with a full E-pass at
+every probe point) is the oracle for the update-map Jacobian.
 ``recorded_iterates`` collects the iterates of a run.
 """
 
@@ -18,8 +20,8 @@ import math
 import numpy as np
 import pytest
 
-from gemgmm import GmmParams, NumericUnderflowError, ValidationError, core, dynamics
-from gemgmm.analysis import LMI_TOL, SectorBounds, lmi_matrix
+from gemgmm import GmmParams, NumericUnderflowError, ValidationError, core, dynamics, e_step
+from gemgmm.analysis import FD_STEP, LMI_TOL, SectorBounds, _probe_directions, lmi_matrix
 
 
 def make_params(rng, k, m, spread=2.0):
@@ -121,6 +123,10 @@ def align_means(means, target):
 # references below.
 ORACLE_SHAPES = [(1, 1, 7), (2, 2, 40), (3, 3, 25), (8, 16, 500)]
 
+# (K, m) on which the tangent pass and the update-map Jacobian are checked
+# against differences of full E-passes.
+JACOBIAN_SHAPES = [(1, 1), (2, 2), (3, 3), (2, 5)]
+
 
 def reference_estep(params, x):
     """Log-likelihood and (N, K) responsibilities from (N, m) samples,
@@ -190,6 +196,25 @@ def lmi_check(mu: float, lam: float, bounds: SectorBounds) -> bool:
         raise ValidationError(f"mu must lie in [0, 1), got {mu}")
     top = float(np.linalg.eigvalsh(lmi_matrix(mu, lam, bounds))[-1])
     return top <= LMI_TOL
+
+
+def fd_update_map_jacobian(params, data, algorithm, design=None):
+    """Central differences of step ``FD_STEP`` of ``p -> step(p,
+    e_step(p, data))`` along each probe direction of
+    ``update_map_jacobian``: a full E-pass over the samples at each of
+    the 2 D probe points, so the Jacobian of the whole map, E-step
+    included, without its derivative."""
+    step = dynamics._step_for(algorithm, design, params.n_components)
+    k, m = params.n_components, params.n_features
+    base = params.to_vector()
+
+    def mapped(vec):
+        q = GmmParams.from_vector(vec, k, m)
+        return step(q, e_step(q, data)).to_vector()
+
+    return np.column_stack([
+        (mapped(base + FD_STEP * v) - mapped(base - FD_STEP * v)) / (2.0 * FD_STEP)
+        for v in _probe_directions(params.layout)])
 
 
 @contextlib.contextmanager

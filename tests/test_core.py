@@ -14,9 +14,11 @@ from gemgmm import (
     responsibilities,
     sample,
 )
+from gemgmm.analysis import _probe_directions
 from gemgmm.core import (
     EPASS_BLOCK,
     _epass,
+    _epass_tangent,
     _estep,
     _factors,
     _feature_major,
@@ -27,6 +29,7 @@ from gemgmm.core import (
 from gemgmm.engine import em_step
 
 from conftest import (
+    JACOBIAN_SHAPES,
     ORACLE_SHAPES,
     make_dataset,
     make_params,
@@ -373,6 +376,46 @@ def test_underflow_names_the_global_sample_index():
     for epass in (_epass, _estep):
         with pytest.raises(NumericUnderflowError, match=rf"at sample {bad}$"):
             epass(p, xt)
+
+
+# The tangent pass on the Jacobian shapes, and across block edges: its
+# moments are the E-pass's own sums, and its derivative matches central
+# differences of full E-passes (step 1e-5, error O(h^2) plus roundoff / h)
+# to 1e-6 of the largest entry.
+TANGENT_CASES = [(k, m, 60) for k, m in JACOBIAN_SHAPES] + [(2, 2, 2 * EPASS_BLOCK + 17)]
+TANGENT_STEP = 1e-5
+
+
+@pytest.mark.parametrize("k, m, n", TANGENT_CASES)
+def test_epass_tangent_moments_equal_the_epass(k, m, n):
+    rng = np.random.default_rng(800 + 10 * k + m)
+    p = make_params(rng, k, m)
+    xt = _feature_major(make_dataset(rng, n, m), m)
+    moments, _ = _epass_tangent(p, xt)
+    ref = _epass(p, xt)[1]
+    assert moments.n == ref.n == n
+    for got, want in ((moments.counts, ref.counts), (moments.first, ref.first),
+                      (moments.second, ref.second)):
+        assert _max_rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("k, m, n", TANGENT_CASES)
+def test_epass_tangent_matches_differences_of_epass(k, m, n):
+    rng = np.random.default_rng(800 + 10 * k + m)
+    p = make_params(rng, k, m)
+    xt = _feature_major(make_dataset(rng, n, m), m)
+    layout, base = p.layout, p.to_vector()
+    tangent = _epass_tangent(p, xt)[1]
+    assert tangent.shape == (layout.size, layout.size)
+
+    def moments_at(vec):
+        mo = _epass(GmmParams.from_vector(vec, k, m), xt)[1]
+        return layout.join(mo.counts, mo.first, mo.second)
+
+    directions = np.array(list(_probe_directions(layout)))
+    fd = np.array([(moments_at(base + TANGENT_STEP * v) - moments_at(base - TANGENT_STEP * v))
+                   / (2.0 * TANGENT_STEP) for v in directions])
+    assert _max_rel_err(directions @ tangent.T, fd) <= 1e-6
 
 
 # ---------------------------------------------------------- responsibilities
