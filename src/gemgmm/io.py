@@ -1,13 +1,25 @@
-"""File formats: parameter JSON, CSV tables, report JSON.
+"""File formats: parameter JSON, CSV tables, report JSON, and the binary
+copy of a dataset.
 
 All float output goes through ``repr``, the shortest round-tripping
 decimal form, so identical inputs produce byte-identical files; every
 CSV table is written by :func:`save_table`.
+
+:func:`save_dataset` also writes the samples with ``np.save`` to
+``<csv>.<sha256>.npy``, where ``sha256`` is the hex digest of the CSV's
+bytes.  Because ``repr`` round-trips, that copy holds bit for bit what
+parsing those bytes gives, so :func:`load_dataset` reads it instead of
+parsing when the CSV's digest names an existing copy, as hash-based
+``.pyc`` files skip recompiling a source whose hash they recorded.  Any
+other CSV (written elsewhere, edited, or read with a header) is parsed;
+one with no copy beside it is not even hashed.
 """
 
 from __future__ import annotations
 
+import glob
 import json
+import os
 from itertools import islice
 from pathlib import Path
 
@@ -24,6 +36,10 @@ PARAM_KEYS = ("K", "m", "alpha", "mu", "sigma")
 # Rows turned into text (dataset rows: into Python floats) per write:
 # bounds the Python numbers and strings alive at once, whatever N is.
 CSV_CHUNK_ROWS = 4096
+
+# Bytes read per block when hashing a dataset CSV, so the hash never
+# holds the file in memory.
+HASH_BLOCK = 1 << 20
 
 
 def params_to_dict(params: GmmParams) -> dict:
@@ -108,14 +124,72 @@ def _load_csv(path, kind: str, skiprows: int) -> np.ndarray:
         raise ValidationError(f"could not parse {kind} {path}: {err}") from err
 
 
+def _copies(path: Path) -> list[Path]:
+    """Every binary copy beside the CSV at ``path``, of whatever bytes:
+    the files ``<path>.<64 hex digits>.npy``."""
+    return list(path.parent.glob(f"{glob.escape(path.name)}.{'[0-9a-f]' * 64}.npy"))
+
+
+def _binary_copy(path: Path) -> tuple[Path, int]:
+    """The name of the binary copy of the CSV at ``path``,
+    ``<path>.<sha256 of its bytes>.npy``, and the number of newlines in
+    those bytes; the file is read in ``HASH_BLOCK`` blocks."""
+    import hashlib  # on first use: importing gemgmm does not need it
+
+    digest, newlines = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        while block := fh.read(HASH_BLOCK):
+            digest.update(block)
+            newlines += block.count(b"\n")
+    return path.with_name(f"{path.name}.{digest.hexdigest()}.npy"), newlines
+
+
 def save_dataset(path, data: np.ndarray) -> None:
-    """CSV, one sample per row, no header."""
-    x = as_dataset(data)
+    """CSV, one sample per row, no header; then the binary copy of the
+    samples that :func:`load_dataset` reads in place of these bytes.
+
+    The copy is written under a temporary name and moved into place, so
+    a reader never sees half of it.  Saving over an existing CSV removes
+    every copy beside it, so also those of bytes that were edited since.
+    """
+    path = Path(path)
+    x = np.ascontiguousarray(as_dataset(data))
+    for stale in _copies(path):
+        stale.unlink(missing_ok=True)
     save_table(path, [], (row for start in range(0, x.shape[0], CSV_CHUNK_ROWS)
                           for row in x[start:start + CSV_CHUNK_ROWS].tolist()))
+    copy = _binary_copy(path)[0]
+    tmp = copy.with_name(f"{copy.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.save(fh, x, allow_pickle=False)
+        os.replace(tmp, copy)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_dataset(path, header: bool = False) -> np.ndarray:
+    """The samples of a CSV, one per row: from its binary copy when the
+    CSV's digest names one (see :func:`save_dataset`), else parsed.
+
+    The CSV is hashed only when some copy lies beside it, so a CSV
+    written elsewhere costs the parse alone.  A copy must be a 2-D
+    float64 array with one row per line of the CSV; otherwise this
+    raises ``ValidationError`` naming the copy.
+    """
+    path = Path(path)
+    if not header and path.is_file() and _copies(path):
+        copy, lines = _binary_copy(path)
+        if copy.is_file():
+            try:
+                x = np.load(copy, allow_pickle=False)
+            except (OSError, ValueError, EOFError) as err:
+                raise ValidationError(f"could not read the binary copy {copy}: {err}") from err
+            if x.dtype != np.float64 or x.ndim != 2 or x.shape[0] != lines:
+                raise ValidationError(
+                    f"binary copy {copy} holds a {x.dtype} array of shape {x.shape}, "
+                    f"expected float64 with {lines} rows, one per line of {path.name}")
+            return as_dataset(x)
     return as_dataset(_load_csv(path, "dataset", 1 if header else 0))
 
 

@@ -7,8 +7,9 @@ Cholesky plus log-sum-exp) so tests do not lean on the code under test.
 kernels written over sample-major (N, m) data, the reference for the
 package's feature-major (m, N) kernels; ``reference_shifted_em_step``
 is the shifted EM route built from them.  ``q_function`` (the EM
-surrogate that a GEM step increases) and ``lmi_check`` (the rate LMI at
-one grid point) are oracles for the steps and the rate certificate;
+surrogate that a GEM step increases), ``lmi_check`` (the rate LMI at
+one grid point) and ``scan_rate_certificate`` (the certificate by a scan
+of every row of mu) are oracles for the steps and the rate certificate;
 ``fd_update_map_jacobian`` (central differences with a full E-pass at
 every probe point) is the oracle for the update-map Jacobian.
 ``recorded_iterates`` collects the iterates of a run.
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 from gemgmm import GmmParams, NumericUnderflowError, ValidationError, core, dynamics, e_step
-from gemgmm.analysis import FD_STEP, LMI_TOL, SectorBounds, _probe_directions, lmi_matrix
+from gemgmm.analysis import (FD_STEP, GRID_RESOLUTION, LMI_TOL, RateCertificate, SectorBounds,
+                             _probe_directions, lmi_matrix)
 
 
 def make_params(rng, k, m, spread=2.0):
@@ -196,6 +198,22 @@ def lmi_check(mu: float, lam: float, bounds: SectorBounds) -> bool:
         raise ValidationError(f"mu must lie in [0, 1), got {mu}")
     top = float(np.linalg.eigvalsh(lmi_matrix(mu, lam, bounds))[-1])
     return top <= LMI_TOL
+
+
+def scan_rate_certificate(bounds: SectorBounds) -> RateCertificate:
+    """``rate_certificate`` by a scan: mu upward over ``[0, 1)``, the
+    first (mu, lam) grid point whose top eigenvalue is at most
+    ``LMI_TOL``, lam over ``[0.5, 5]``; up to 1000 rows of mu."""
+    mus = np.arange(0.0, 1.0, GRID_RESOLUTION)
+    lams = np.arange(0.5, 5.0 + 0.5 * GRID_RESOLUTION, GRID_RESOLUTION)
+    (a0, b), (_, d) = lmi_matrix(0.0, lams, bounds)
+    for mu in mus:
+        a = a0 - mu * mu
+        top = 0.5 * (a + d) + np.sqrt((0.5 * (a - d)) ** 2 + b * b)
+        hits = np.flatnonzero(top <= LMI_TOL)
+        if hits.size:
+            return RateCertificate(float(mu), float(lams[hits[0]]), True)
+    return RateCertificate(math.nan, math.nan, False)
 
 
 def fd_update_map_jacobian(params, data, algorithm, design=None):

@@ -25,7 +25,8 @@ from gemgmm import (
 from gemgmm.analysis import FD_STEP, _probe_directions
 from gemgmm.core import _epass_tangent, _feature_major
 
-from conftest import JACOBIAN_SHAPES, fd_update_map_jacobian, lmi_check, make_dataset, make_params
+from conftest import (JACOBIAN_SHAPES, fd_update_map_jacobian, lmi_check, make_dataset, make_params,
+                      scan_rate_certificate)
 
 
 # -------------------------------------------------------------- rate bound
@@ -112,6 +113,37 @@ def test_min_feasible_rate_matches_closed_form():
 def test_min_feasible_rate_infeasible_outside_contractive_regime():
     # |1 - L| = 1.5 means no mu < 1 can be certified
     assert not rate_certificate(SectorBounds(0.1, 2.5)).feasible
+
+
+def _certificate_sectors():
+    """300 seeded sectors, about half of them outside the contractive regime
+    of the lam grid, plus the edge cases: unit bounds, bounds on the mu
+    grid, a tiny m_lo, and L_hi on either side of 2."""
+    rng = np.random.default_rng(2401)
+    sectors = []
+    for _ in range(300):
+        m_lo = float(rng.uniform(1e-3, 1.2))
+        sectors.append((m_lo, float(rng.uniform(m_lo, 3.0))))
+    sectors += [(1.0, 1.0), (0.5, 1.5), (0.25, 1.75), (0.999, 1.001), (1e-9, 1.0),
+                (0.5, 2.0 - 1e-12), (0.5, 2.0), (0.5, 2.0 + 1e-12), (0.1, 1.999), (0.1, 2.001),
+                (1.5, 1.5), (2.0, 2.0)]
+    return sectors
+
+
+def test_rate_certificate_equals_the_scan():
+    # Bisection over the rows of mu gives exactly the scan's first
+    # feasible (mu, lam), and NaNs where the scan finds none.
+    sectors = _certificate_sectors()
+    infeasible = 0
+    for m_lo, L_hi in sectors:
+        bounds = SectorBounds(m_lo, L_hi)
+        got, want = rate_certificate(bounds), scan_rate_certificate(bounds)
+        assert got.feasible == want.feasible, (m_lo, L_hi)
+        for name in ("mu_bound", "multiplier"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g == w or (math.isnan(g) and math.isnan(w)), (m_lo, L_hi, name, g, w)
+        infeasible += not want.feasible
+    assert 0 < infeasible < len(sectors)
 
 
 def test_rate_certificate_feasible_packaging():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gemgmm
-from gemgmm import GmmParams, ValidationError, analysis, experiments
+from gemgmm import GmmParams, ValidationError, analysis, experiments, io
 from gemgmm.cli import _build_config, build_parser, main
 from gemgmm.experiments import ExperimentConfig, orthogonal_line_init
 from gemgmm.io import load_dataset, load_params, load_trace_csv, save_dataset, save_params
@@ -553,6 +553,29 @@ def test_analyze_jacobian_and_trace(tmp_path):
     assert len(report["jacobian"]["moduli"]) == 14
     rate = report["empirical_rate"]
     assert rate is None or 0.0 < rate < 1.0
+
+
+def test_fit_and_analyze_read_the_binary_copy_of_a_generated_dataset(tmp_path, monkeypatch):
+    dataset = make_dataset_file(tmp_path, n=120)
+    fit_cfg = write_config(tmp_path / "fit.json", true_model=TRUE_MODEL, dataset=dataset,
+                           init=ORTHO_INIT, max_iters=50)
+    parse = io._load_csv
+
+    def never(*args):
+        raise AssertionError("the dataset CSV was parsed")
+
+    monkeypatch.setattr(io, "_load_csv", never)
+    assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == 4  # max_iters
+    assert main(["analyze", str(tmp_path / "gen" / "truth.json"), "--dataset", dataset,
+                 "--out", str(tmp_path / "copy")]) == 0
+    # the parse path writes the same bytes
+    monkeypatch.setattr(io, "_load_csv", parse)
+    for copy in Path(dataset).parent.glob("dataset.csv.*.npy"):
+        copy.unlink()
+    assert main(["analyze", str(tmp_path / "gen" / "truth.json"), "--dataset", dataset,
+                 "--out", str(tmp_path / "parsed")]) == 0
+    assert (tmp_path / "copy" / "analysis.json").read_bytes() == \
+        (tmp_path / "parsed" / "analysis.json").read_bytes()
 
 
 def test_analyze_em_jacobian(tmp_path):

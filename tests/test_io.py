@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from gemgmm import GmmParams, ValidationError, run, sample
+from gemgmm import GmmParams, ValidationError, io, run, sample
 from gemgmm.io import (
+    CSV_CHUNK_ROWS,
     TRACE_HEADER,
     load_dataset,
     load_params,
@@ -155,6 +157,118 @@ def test_load_dataset_rejects_garbage(tmp_path):
     path = tmp_path / "garbage.csv"
     path.write_text("1.0,2.0\n3.0,oops\n")
     with pytest.raises(ValidationError):
+        load_dataset(path)
+
+
+# ------------------------------------------------------------- binary copy
+
+def binary_copy(path):
+    """The copy ``save_dataset`` writes next to the CSV at ``path``."""
+    return path.with_name(f"{path.name}.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy")
+
+
+def never_parse(monkeypatch):
+    def parse(*args):
+        raise AssertionError("the CSV was parsed")
+    monkeypatch.setattr(io, "_load_csv", parse)
+
+
+@pytest.mark.parametrize("x", [
+    np.array([[-0.0, 1e-300, 1e16], [0.1 + 0.2, 5e-324, -2.5]]),
+    np.array([[1.5], [-2.25], [0.0]]),
+    np.array([[3.25, -1e-7]]),
+    np.random.default_rng(313).normal(size=(CSV_CHUNK_ROWS + 1, 2)),
+], ids=["awkward", "m1", "n1", "chunk_plus_one"])
+def test_binary_copy_holds_what_the_parse_gives(tmp_path, monkeypatch, x):
+    path = tmp_path / "data.csv"
+    save_dataset(path, x)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", binary_copy(path).name]
+    parsed = io._load_csv(path, "dataset", 0)
+    never_parse(monkeypatch)
+    got = load_dataset(path)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert got.tobytes() == parsed.tobytes() == x.tobytes()
+
+
+def test_binary_copy_bytes_deterministic(tmp_path):
+    x = np.random.default_rng(317).normal(size=(9, 2))
+    a, b = tmp_path / "a" / "d.csv", tmp_path / "b" / "d.csv"
+    for path in (a, b):
+        path.parent.mkdir()
+        save_dataset(path, x)
+    assert binary_copy(a).read_bytes() == binary_copy(b).read_bytes()
+    # and a second save over the same file writes the same copy again
+    first = binary_copy(a).read_bytes()
+    save_dataset(a, np.asfortranarray(x))
+    assert [p.name for p in a.parent.iterdir() if p.suffix == ".npy"] == [binary_copy(a).name]
+    assert binary_copy(a).read_bytes() == first
+
+
+def test_saving_different_data_removes_the_old_copy(tmp_path):
+    # glob metacharacters in the name match only themselves
+    path = tmp_path / "d[1]*.csv"
+    save_dataset(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    old = binary_copy(path)
+    save_dataset(path, np.array([[1.0, 2.0], [3.0, 5.0]]))
+    assert not old.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d[1]*.csv", binary_copy(path).name]
+    assert np.array_equal(load_dataset(path), [[1.0, 2.0], [3.0, 5.0]])
+
+
+def test_edited_csv_is_parsed(tmp_path):
+    path = tmp_path / "d.csv"
+    save_dataset(path, np.array([[1.25, 2.0], [3.0, 4.0]]))
+    copy = binary_copy(path)
+    path.write_text(path.read_text().replace("1.25", "1.75"))
+    assert np.array_equal(load_dataset(path), [[1.75, 2.0], [3.0, 4.0]])
+    # the next save removes the copy of the bytes from before the edit,
+    # and leaves other files alone
+    other = tmp_path / "d.csv.notes.npy"
+    np.save(other, np.zeros(1))
+    save_dataset(path, np.array([[5.0, 6.0]]))
+    assert not copy.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["d.csv", binary_copy(path).name, other.name])
+
+
+def test_csv_with_no_copy_beside_it_is_parsed_unhashed(tmp_path, monkeypatch):
+    # a CSV written elsewhere costs the parse alone
+    path = tmp_path / "d.csv"
+    path.write_text("1.5,2.0\n3.0,4.0\n")
+    np.save(tmp_path / "e.csv.npy", np.zeros(1))
+
+    def digest(*args):
+        raise AssertionError("the CSV was hashed")
+    monkeypatch.setattr(io, "_binary_copy", digest)
+    assert np.array_equal(load_dataset(path), [[1.5, 2.0], [3.0, 4.0]])
+
+
+def test_header_flag_parses_the_csv(tmp_path):
+    path = tmp_path / "d.csv"
+    save_dataset(path, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    assert np.array_equal(load_dataset(path, header=True), [[3.0, 4.0], [5.0, 6.0]])
+
+
+def test_binary_copy_of_the_wrong_shape_is_rejected(tmp_path):
+    path = tmp_path / "d.csv"
+    save_dataset(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    copy = binary_copy(path)
+    for wrong in (np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2), dtype=np.float32)):
+        np.save(copy, wrong)
+        with pytest.raises(ValidationError, match="binary copy") as err:
+            load_dataset(path)
+        assert copy.name in str(err.value)
+    copy.write_bytes(b"not an npy file")
+    with pytest.raises(ValidationError, match="binary copy") as err:
+        load_dataset(path)
+    assert copy.name in str(err.value)
+
+
+def test_missing_dataset_with_a_copy_beside_it_is_not_found(tmp_path):
+    path = tmp_path / "d.csv"
+    save_dataset(path, np.array([[1.0, 2.0]]))
+    path.unlink()
+    with pytest.raises(ValidationError, match="dataset file not found"):
         load_dataset(path)
 
 
