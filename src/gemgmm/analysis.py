@@ -160,25 +160,28 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
     layout = params.layout
     base = params.to_vector()
     k, m = layout.n_components, layout.n_features
-    directions = np.array(list(_probe_directions(layout)))
-    moved = directions @ tangent.T
     columns = np.zeros((layout.size, layout.size))
 
-    def probe(idx, sign):
-        dc, df, ds = layout.split(sign * FD_STEP * moved[idx])
-        p = GmmParams.from_vector(base + sign * FD_STEP * directions[idx], k, m)
+    def probe(direction, moved, sign):
+        dc, df, ds = layout.split(sign * FD_STEP * moved)
+        p = GmmParams.from_vector(base + sign * FD_STEP * direction, k, m)
         mo = Moments(moments.n, moments.counts + dc, moments.first + df, moments.second + ds)
         return step(p, mo).to_vector()
 
-    for idx, direction in enumerate(directions):
-        if not direction.any():
+    for idx, direction in enumerate(_probe_directions(layout)):
+        # At most K nonzeros (a weight probe), so T v reads that many
+        # columns of T.
+        nonzero = np.flatnonzero(direction)
+        if not nonzero.size:
             continue
+        moved = tangent[:, nonzero] @ direction[nonzero]
         try:
-            plus, minus = probe(idx, 1.0), probe(idx, -1.0)
+            plus, minus = probe(direction, moved, 1.0), probe(direction, moved, -1.0)
         except GemGmmError as err:
             err.args = (f"update step failed at perturbation {idx}: {err}",)
             raise
         columns[idx] = (plus - minus) / (2.0 * FD_STEP)
+    del tangent  # before eigvals copies the Jacobian: one D x D array fewer at the peak
     jac = columns.T
     moduli = np.sort(np.abs(np.linalg.eigvals(jac)))[::-1]
     top = moduli[0]

@@ -31,7 +31,7 @@ Tangent pass.  :func:`_epass_tangent` walks the same blocks and gives
 the moments together with their exact derivative in the parameters, at
 any point: the derivative of the responsibilities is the complete-data
 score about its posterior mean, so one pass sums K Gram matrices of
-g = (1, d, vec(d d')) and one Gram matrix of their h-weighted stack.
+g = (1, d, vech(d d')) and one Gram matrix of their h-weighted stack.
 The update-map Jacobian reads it (:mod:`gemgmm.analysis`).
 """
 
@@ -221,7 +221,9 @@ def as_dataset(data: np.ndarray, n_features: int | None = None) -> np.ndarray:
 
 
 def _feature_major(data: np.ndarray, n_features: int) -> np.ndarray:
-    """Validated (N, m) samples as a read-only C-contiguous (m, N) array."""
+    """Validated (N, m) samples as a read-only C-contiguous (m, N) array:
+    a view of samples stored in Fortran order (as a loaded binary copy
+    of a dataset is), a copy of any others."""
     xt = np.ascontiguousarray(as_dataset(data, n_features).T)
     xt.flags.writeable = False
     return xt
@@ -331,6 +333,37 @@ def _epass(params: GmmParams, xt: np.ndarray) -> tuple[float, Moments]:
     return loglik, Moments(xt.shape[1], counts, first, second)
 
 
+def _tangent_grams(params: GmmParams, xt: np.ndarray) -> tuple[Moments, np.ndarray, np.ndarray]:
+    """The blocked pass of :func:`_epass_tangent`: the :class:`Moments`,
+    summed as :func:`_epass` sums them, and the Gram matrices
+    W (K, q, q) and C (K q, K q) of g = (1, d, vech(d d')),
+    q = 1 + m + m (m + 1) / 2, vech taking the rows i <= j of d d' in
+    order.  Its two (K, q, b) buffers are freed when it returns."""
+    k, m = params.n_components, params.n_features
+    q = 1 + m + m * (m + 1) // 2
+    counts, first, second = np.zeros(k), np.zeros((k, m)), np.zeros((k, m, m))
+    own, cross = np.zeros((k, q, q)), np.zeros((k * q, k * q))
+    size = k * q * min(xt.shape[1], EPASS_BLOCK)
+    g_buf, hg_buf = np.empty(size), np.empty(size)
+    for start, d, work, h, _ in _blocks(params, xt):
+        b = h.shape[1]
+        counts += h.sum(axis=1)
+        first += h @ xt[:, start:start + b].T
+        second += np.matmul(np.multiply(h[:, None, :], d, out=work), d.transpose(0, 2, 1))
+        g = g_buf[:k * q * b].reshape(k, q, b)
+        g[:, 0] = 1.0
+        g[:, 1:1 + m] = d
+        at = 1 + m
+        for i in range(m):
+            np.multiply(d[:, i:i + 1], d[:, i:], out=g[:, at:at + m - i])
+            at += m - i
+        hg = np.multiply(h[:, None, :], g, out=hg_buf[:k * q * b].reshape(k, q, b))
+        own += np.matmul(hg, g.transpose(0, 2, 1))
+        stacked = hg.reshape(k * q, b)
+        cross += stacked @ stacked.T
+    return Moments(xt.shape[1], counts, first, second), own, cross
+
+
 def _epass_tangent(params: GmmParams, xt: np.ndarray) -> tuple[Moments, np.ndarray]:
     """The :class:`Moments` at ``params`` for validated (m, N) samples
     ``xt`` and their exact derivative in the parameters, from one blocked
@@ -347,29 +380,31 @@ def _epass_tangent(params: GmmParams, xt: np.ndarray) -> tuple[Moments, np.ndarr
     moments by R (blockdiag_j W_j - C) L' v, R_j mapping g to
     (1, x, vec(d d')); the second moment about mu_j also moves with mu_j
     itself, by -(dmu_j r_j' + r_j dmu_j'), r_j = sum_t h_tj d_tj.  This
-    is the missing-information term of Louis (1982).  The pass costs
-    O(N (K p)^2), p = 1 + m + m^2, and holds two (K, p, b) buffers.
+    is the missing-information term of Louis (1982).
+
+    d d' is symmetric, so the pass (:func:`_tangent_grams`) sums the
+    Grams of the shorter g = (1, d, vech(d d')), q = 1 + m + m (m + 1) / 2
+    entries, and their entries are copied to the vec layout afterwards.
+    W_j's entry [0, 0] and d d' block sum the counts and the second
+    moment too, but in another order than :func:`_epass`; the moments
+    are summed as there, so they equal its own bit for bit, and the
+    update-map Jacobian, which differences steps taken from them, does
+    not move with the summation order.  The pass costs O(N (K q)^2) and
+    holds two (K, q, b) buffers; the result is (K p)^2, p = 1 + m + m^2.
     """
     k, m = params.n_components, params.n_features
-    p = 1 + m + m * m
-    counts, first, second = np.zeros(k), np.zeros((k, m)), np.zeros((k, m, m))
-    # tangent holds -C until the pass is over.
-    own, tangent = np.zeros((k, p, p)), np.zeros((k * p, k * p))
-    size = k * p * min(xt.shape[1], EPASS_BLOCK)
-    g_buf, hg_buf = np.empty(size), np.empty(size)
-    for start, d, work, h, _ in _blocks(params, xt):
-        b = h.shape[1]
-        counts += h.sum(axis=1)
-        first += h @ xt[:, start:start + b].T
-        second += np.matmul(np.multiply(h[:, None, :], d, out=work), d.transpose(0, 2, 1))
-        g = g_buf[:k * p * b].reshape(k, p, b)
-        g[:, 0] = 1.0
-        g[:, 1:1 + m] = d
-        np.multiply(d[:, :, None, :], d[:, None, :, :], out=g[:, 1 + m:].reshape(k, m, m, b))
-        hg = np.multiply(h[:, None, :], g, out=hg_buf[:k * p * b].reshape(k, p, b))
-        own += np.matmul(hg, g.transpose(0, 2, 1))
-        stacked = hg.reshape(k * p, b)
-        tangent -= stacked @ stacked.T
+    p, q = 1 + m + m * m, 1 + m + m * (m + 1) // 2
+    moments, own, cross = _tangent_grams(params, xt)
+
+    # Entry i of g in the vec layout is entry vech[i] of the short g.
+    upper = np.zeros((m, m), dtype=np.intp)
+    upper[np.triu_indices(m)] = np.arange(1 + m, q)
+    vech = np.concatenate([np.arange(1 + m), np.maximum(upper, upper.T).ravel()])
+    own = own[:, vech[:, None], vech]
+    # tangent holds -C until the loop below adds each W_j.
+    stack = (q * np.arange(k)[:, None] + vech).ravel()
+    tangent = cross[np.ix_(stack, stack)]
+    np.negative(tangent, out=tangent)
 
     # score[j] is L_j': a direction (dw_j, dmu_j, vec dC_j) to its
     # coefficients on g.
@@ -395,7 +430,7 @@ def _epass_tangent(params: GmmParams, xt: np.ndarray) -> tuple[Moments, np.ndarr
     # Component-major rows and columns to the flat layout.
     idx = np.arange(k * p).reshape(k, p)
     order = params.layout.join(idx[:, 0], idx[:, 1:1 + m], idx[:, 1 + m:].reshape(k, m, m)).astype(np.intp)
-    return Moments(xt.shape[1], counts, first, second), tangent[np.ix_(order, order)]
+    return moments, tangent[np.ix_(order, order)]
 
 
 def e_step(params: GmmParams, data: np.ndarray) -> Moments:

@@ -10,9 +10,10 @@ CSV table is written by :func:`save_table`.
 bytes.  Because ``repr`` round-trips, that copy holds bit for bit what
 parsing those bytes gives, so :func:`load_dataset` reads it instead of
 parsing when the CSV's digest names an existing copy, as hash-based
-``.pyc`` files skip recompiling a source whose hash they recorded.  Any
-other CSV (written elsewhere, edited, or read with a header) is parsed;
-one with no copy beside it is not even hashed.
+``.pyc`` files skip recompiling a source whose hash they recorded; the
+read that hashes the CSV also counts its lines, which the copy's row
+count must match.  Any other CSV (written elsewhere, edited, or read
+with a header) is parsed; one with no copy beside it is not even hashed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import glob
 import json
 import os
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +106,24 @@ def load_params(path) -> GmmParams:
 
 def save_table(path, head, rows) -> None:
     """CSV: the ``head`` lines, then one line per row of Python numbers
-    in ``repr`` form, turned into text ``CSV_CHUNK_ROWS`` rows at a time."""
+    in ``repr`` form, turned into text ``CSV_CHUNK_ROWS`` rows at a time.
+
+    Every row must have as many entries as the first; a ragged row raises
+    ``ValidationError``.  Each chunk is one ``%``-format of a ``%r`` row
+    template repeated over the chunk's flattened entries, so a row of
+    another width would shift every entry after it.
+    """
     rows = iter(rows)
+    width = None
     with open(path, "w") as fh:
         fh.writelines(f"{line}\n" for line in head)
         while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-            fh.write("\n".join([",".join(map(repr, row)) for row in chunk]) + "\n")
+            if width is None:
+                width = len(chunk[0])
+                template = ",".join(["%r"] * width) + "\n"
+            if set(map(len, chunk)) != {width}:
+                raise ValidationError(f"table rows of {path} must all have {width} entries")
+            fh.write(template * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
 def _load_csv(path, kind: str, skiprows: int) -> np.ndarray:
@@ -140,7 +153,7 @@ def _binary_copy(path: Path) -> tuple[Path, int]:
     with open(path, "rb") as fh:
         while block := fh.read(HASH_BLOCK):
             digest.update(block)
-            newlines += block.count(b"\n")
+            newlines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
     return path.with_name(f"{path.name}.{digest.hexdigest()}.npy"), newlines
 
 
@@ -148,12 +161,15 @@ def save_dataset(path, data: np.ndarray) -> None:
     """CSV, one sample per row, no header; then the binary copy of the
     samples that :func:`load_dataset` reads in place of these bytes.
 
-    The copy is written under a temporary name and moved into place, so
-    a reader never sees half of it.  Saving over an existing CSV removes
-    every copy beside it, so also those of bytes that were edited since.
+    The copy is stored in Fortran order, so the loaded (N, m) array's
+    transpose is the C-contiguous (m, N) layout that the E-pass reads
+    (:func:`~gemgmm.core._feature_major` takes it without a copy).  It
+    is written under a temporary name and moved into place, so a reader
+    never sees half of it.  Saving over an existing CSV removes every
+    copy beside it, so also those of bytes that were edited since.
     """
     path = Path(path)
-    x = np.ascontiguousarray(as_dataset(data))
+    x = as_dataset(data)
     for stale in _copies(path):
         stale.unlink(missing_ok=True)
     save_table(path, [], (row for start in range(0, x.shape[0], CSV_CHUNK_ROWS)
@@ -162,7 +178,7 @@ def save_dataset(path, data: np.ndarray) -> None:
     tmp = copy.with_name(f"{copy.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.save(fh, x, allow_pickle=False)
+            np.save(fh, np.asfortranarray(x), allow_pickle=False)
         os.replace(tmp, copy)
     finally:
         tmp.unlink(missing_ok=True)

@@ -11,7 +11,9 @@ surrogate that a GEM step increases), ``lmi_check`` (the rate LMI at
 one grid point) and ``scan_rate_certificate`` (the certificate by a scan
 of every row of mu) are oracles for the steps and the rate certificate;
 ``fd_update_map_jacobian`` (central differences with a full E-pass at
-every probe point) is the oracle for the update-map Jacobian.
+every probe point) is the oracle for the update-map Jacobian, and
+``vec_epass_tangent`` (the tangent pass on g = (1, d, vec(d d'))) the
+oracle for the package's tangent pass on vech(d d').
 ``recorded_iterates`` collects the iterates of a run.
 """
 
@@ -233,6 +235,55 @@ def fd_update_map_jacobian(params, data, algorithm, design=None):
     return np.column_stack([
         (mapped(base + FD_STEP * v) - mapped(base - FD_STEP * v)) / (2.0 * FD_STEP)
         for v in _probe_directions(params.layout)])
+
+
+def vec_epass_tangent(params, xt):
+    """``core._epass_tangent`` summed on g = (1, d, vec(d d')),
+    p = 1 + m + m^2 entries, with the counts and the second moment summed
+    on their own: the moments and their (D, D) derivative in the flat
+    layout from (m, N) samples ``xt``."""
+    k, m = params.n_components, params.n_features
+    p = 1 + m + m * m
+    counts, first, second = np.zeros(k), np.zeros((k, m)), np.zeros((k, m, m))
+    own, tangent = np.zeros((k, p, p)), np.zeros((k * p, k * p))
+    size = k * p * min(xt.shape[1], core.EPASS_BLOCK)
+    g_buf, hg_buf = np.empty(size), np.empty(size)
+    for start, d, work, h, _ in core._blocks(params, xt):
+        b = h.shape[1]
+        counts += h.sum(axis=1)
+        first += h @ xt[:, start:start + b].T
+        second += np.matmul(np.multiply(h[:, None, :], d, out=work), d.transpose(0, 2, 1))
+        g = g_buf[:k * p * b].reshape(k, p, b)
+        g[:, 0] = 1.0
+        g[:, 1:1 + m] = d
+        np.multiply(d[:, :, None, :], d[:, None, :, :], out=g[:, 1 + m:].reshape(k, m, m, b))
+        hg = np.multiply(h[:, None, :], g, out=hg_buf[:k * p * b].reshape(k, p, b))
+        own += np.matmul(hg, g.transpose(0, 2, 1))
+        stacked = hg.reshape(k * p, b)
+        tangent -= stacked @ stacked.T
+
+    inv_chol = core._factors(params)[0]
+    prec = inv_chol.transpose(0, 2, 1) @ inv_chol
+    score = np.zeros((k, p, p))
+    score[:, 0, 0] = 1.0 / params.weights
+    score[:, 0, 1 + m:] = -0.5 * prec.reshape(k, m * m)
+    score[:, 1:1 + m, 1:1 + m] = prec
+    score[:, 1 + m:, 1 + m:] = 0.5 * (prec[:, :, None, :, None]
+                                      * prec[:, None, :, None, :]).reshape(k, m * m, m * m)
+    r = own[:, 1:1 + m, 0]
+    eye = np.eye(m)
+    centring = (eye[None, :, None, :] * r[:, None, :, None]
+                + r[:, :, None, None] * eye[None, None, :, :]).reshape(k, m * m, m)
+    rows = tangent.reshape(k, p, k * p)
+    for j in range(k):
+        cols = slice(j * p, (j + 1) * p)
+        rows[j, :, cols] += own[j]
+        tangent[:, cols] = tangent[:, cols] @ score[j]
+        rows[j, 1 + m:, j * p + 1:j * p + 1 + m] -= centring[j]
+    rows[:, 1:1 + m] += params.means[:, :, None] * rows[:, :1]
+    idx = np.arange(k * p).reshape(k, p)
+    order = params.layout.join(idx[:, 0], idx[:, 1:1 + m], idx[:, 1 + m:].reshape(k, m, m)).astype(np.intp)
+    return core.Moments(xt.shape[1], counts, first, second), tangent[np.ix_(order, order)]
 
 
 @contextlib.contextmanager

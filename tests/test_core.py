@@ -40,6 +40,7 @@ from conftest import (
     reference_estep,
     reference_m_step,
     theta_split,
+    vec_epass_tangent,
 )
 
 
@@ -396,7 +397,24 @@ def test_epass_tangent_moments_equal_the_epass(k, m, n):
     assert moments.n == ref.n == n
     for got, want in ((moments.counts, ref.counts), (moments.first, ref.first),
                       (moments.second, ref.second)):
-        assert _max_rel_err(got, want) <= 1e-12
+        assert np.array_equal(got, want)
+
+
+# The tangent pass sums its Grams on vech(d d') and copies them to the
+# vec layout; the pass on vec(d d') is the reference.  Only the order of
+# the Gram sums differs, so 1e-13 of the largest entry bounds it; also
+# at K=8, m=16, where vech has 136 entries in place of 256.
+@pytest.mark.parametrize("k, m, n", TANGENT_CASES + [(8, 16, 500), (3, 3, 2 * EPASS_BLOCK + 17)])
+def test_epass_tangent_matches_the_vec_pass(k, m, n):
+    rng = np.random.default_rng(900 + 10 * k + m)
+    p = make_params(rng, k, m)
+    xt = _feature_major(make_dataset(rng, n, m), m)
+    moments, tangent = _epass_tangent(p, xt)
+    ref_moments, ref_tangent = vec_epass_tangent(p, xt)
+    assert tangent.shape == ref_tangent.shape == (p.layout.size, p.layout.size)
+    assert _max_rel_err(tangent, ref_tangent) <= 1e-13
+    for name in ("counts", "first", "second"):
+        assert _max_rel_err(getattr(moments, name), getattr(ref_moments, name)) <= 1e-13
 
 
 @pytest.mark.parametrize("k, m, n", TANGENT_CASES)

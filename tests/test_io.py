@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gemgmm import GmmParams, ValidationError, io, run, sample
+from gemgmm import GmmParams, ValidationError, core, io, run, sample
 from gemgmm.io import (
     CSV_CHUNK_ROWS,
     TRACE_HEADER,
@@ -190,6 +190,39 @@ def test_binary_copy_holds_what_the_parse_gives(tmp_path, monkeypatch, x):
     assert got.tobytes() == parsed.tobytes() == x.tobytes()
 
 
+def test_loaded_copy_is_feature_major_without_a_copy(tmp_path):
+    # the copy is stored in Fortran order, so the E-pass's (m, N) layout
+    # is a view of the loaded samples
+    x = np.random.default_rng(319).normal(size=(50, 3))
+    path = tmp_path / "d.csv"
+    save_dataset(path, x)
+    loaded = load_dataset(path)
+    xt = core._feature_major(loaded, 3)
+    assert np.shares_memory(xt, loaded)
+    assert xt.flags.c_contiguous and not xt.flags.writeable
+    assert np.array_equal(xt, x.T)
+    # the copy keeps its dtype, shape and C-order bytes
+    stored = np.load(binary_copy(path), allow_pickle=False)
+    assert stored.shape == x.shape and stored.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    b"1.0,2.0\n3.0,4.0\n5.0,6.0\n",      # a newline on each edge of 4-byte blocks
+    b"1.0,2.0\n3.0,4.0\n5.0,6.0",        # no newline at the end
+    b"1.0,2.0\r\n3.0,4.0\r\n5.0,6.0\r\n",  # CRLF line ends
+    b"\n\n\n\n\n",
+    b"",
+], ids=["block_edges", "no_trailing_newline", "crlf", "only_newlines", "empty"])
+@pytest.mark.parametrize("block", [1, 4, 7, 1 << 20])
+def test_binary_copy_counts_the_newlines_it_hashes(tmp_path, monkeypatch, text, block):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text)
+    monkeypatch.setattr(io, "HASH_BLOCK", block)
+    copy, newlines = io._binary_copy(path)
+    assert newlines == text.count(b"\n")
+    assert copy == binary_copy(path)
+
+
 def test_binary_copy_bytes_deterministic(tmp_path):
     x = np.random.default_rng(317).normal(size=(9, 2))
     a, b = tmp_path / "a" / "d.csv", tmp_path / "b" / "d.csv"
@@ -270,6 +303,25 @@ def test_missing_dataset_with_a_copy_beside_it_is_not_found(tmp_path):
     path.unlink()
     with pytest.raises(ValidationError, match="dataset file not found"):
         load_dataset(path)
+
+
+# ------------------------------------------------------------------- table
+
+def test_table_bytes_are_the_repr_of_each_entry(tmp_path):
+    rows = [(0, 1.5, float("nan")), (1, -0.0, 1e-300), (2, 0.1 + 0.2, float("-inf"))]
+    path = tmp_path / "t.csv"
+    io.save_table(path, ["# note", "a,b,c"], iter(rows))
+    assert path.read_text() == "# note\na,b,c\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)],      # the widths add up to whole rows
+    [(1.0, 2.0)] * CSV_CHUNK_ROWS + [(3.0,)],     # the ragged row opens a later chunk
+], ids=["same_chunk", "next_chunk"])
+def test_ragged_table_raises(tmp_path, rows):
+    with pytest.raises(ValidationError, match="2 entries"):
+        io.save_table(tmp_path / "t.csv", [], rows)
 
 
 # ------------------------------------------------------------------- trace
