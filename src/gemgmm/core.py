@@ -63,17 +63,15 @@ EPASS_BLOCK = 8192
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
 def _raise_first_invalid_covariance(cv: np.ndarray) -> None:
     """Raise for the first component that fails the covariance checks,
     taking each component's symmetry check before its factorization.
-
-    The checks themselves run batched over the whole (K, m, m) stack;
-    this loop only runs once they have failed, to name the component.
-    """
+    The checks run batched over the whole (K, m, m) stack; this loop only
+    runs once they have failed, to name the component."""
     for j in range(cv.shape[0]):
         asym = np.max(np.abs(cv[j] - cv[j].T))
         if asym > SYMMETRY_TOL:
@@ -124,7 +122,7 @@ class GmmParams:
             raise ValidationError(f"covs must have shape ({k}, {m}, {m}), got {cv.shape}")
         if not (np.isfinite(w).all() and np.isfinite(mu).all() and np.isfinite(cv).all()):
             raise ValidationError("parameters must be finite")
-        if (w <= 0.0).any():
+        if w.min() <= 0.0:
             raise SimplexViolationError(f"weights must be strictly positive, got {w}")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise SimplexViolationError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got sum {float(w.sum())}")
@@ -136,10 +134,11 @@ class GmmParams:
                 pass
         if chol is None:
             _raise_first_invalid_covariance(cv)
+        chol.setflags(write=False)  # fresh from the factorization
         object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "means", _frozen(mu))
         object.__setattr__(self, "covs", _frozen(cv))
-        object.__setattr__(self, "_chol", _frozen(chol))
+        object.__setattr__(self, "_chol", chol)
 
     @property
     def n_components(self) -> int:
@@ -231,11 +230,11 @@ def _feature_major(data: np.ndarray, n_features: int) -> np.ndarray:
 
 def _factors(params: GmmParams) -> tuple[np.ndarray, np.ndarray]:
     """The per-pass factors of the log-density kernel: the (K, m, m)
-    inverse Cholesky factors and the K-vector
-    log w_j - (m log 2pi + log det cov_j) / 2."""
-    logdet = 2.0 * np.sum(np.log(np.diagonal(params._chol, axis1=1, axis2=2)), axis=1)
-    log_norm = np.log(params.weights) - 0.5 * (params.n_features * _LOG_2PI + logdet)
-    return np.linalg.inv(params._chol), log_norm
+    inverse Cholesky factors and the K-vector log w_j minus the sum of
+    the halves of m log 2pi and log det cov_j (halving is exact)."""
+    half_logdet = np.log(params._chol.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    half_logdet += 0.5 * params.n_features * _LOG_2PI
+    return np.linalg.inv(params._chol), np.log(params.weights) - half_logdet
 
 
 def _log_weighted_densities(d: np.ndarray, inv_chol: np.ndarray, log_norm: np.ndarray,
@@ -262,9 +261,11 @@ def _blocks(params: GmmParams, xt: np.ndarray):
     yields ``(start, d, work, h, loglik)``: the index of its first
     sample, its centred stack d (K, m, b), a (K, m, b) scratch array the
     caller may overwrite, its (K, b) responsibilities and its part of
-    the log-likelihood.  The log-sum-exp and the normalization reduce
-    over the component axis and run in place: the log-density buffer
-    becomes the responsibilities.
+    the log-likelihood.  First it raises at the first sample whose
+    largest log-density is not finite (its mixture density underflowed);
+    then each shifted column holds a 0, its sum is at least 1, and the
+    log-sum-exp and the normalization reduce over the component axis in
+    place: the log-density buffer becomes the responsibilities.
     """
     k, n = params.n_components, xt.shape[1]
     inv_chol, log_norm = _factors(params)
@@ -278,17 +279,15 @@ def _blocks(params: GmmParams, xt: np.ndarray):
         work = work_buf[:xb.size * k].reshape(shape)
         h = _log_weighted_densities(d, inv_chol, log_norm, work)
         shift = h.max(axis=0)
-        shift[~np.isfinite(shift)] = 0.0
+        if not np.isfinite(shift).all():
+            bad = start + int(np.flatnonzero(~np.isfinite(shift))[0])
+            raise NumericUnderflowError(f"mixture density underflowed at sample {bad}")
         h -= shift
         np.exp(h, out=h)
         total = h.sum(axis=0)
-        with np.errstate(divide="ignore"):
-            lse = np.log(total)
-        lse += shift
-        if not np.all(np.isfinite(lse)):
-            bad = start + int(np.flatnonzero(~np.isfinite(lse))[0])
-            raise NumericUnderflowError(f"mixture density underflowed at sample {bad}")
         h /= total
+        lse = np.log(total, out=total)
+        lse += shift
         yield start, d, work, h, float(lse.sum())
 
 

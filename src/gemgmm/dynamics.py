@@ -136,7 +136,7 @@ class MeanStepWeights:
 def _gem_step(params: GmmParams, moments: Moments, betas: np.ndarray | None) -> GmmParams:
     weights, means, covs = _m_step(moments)
     d_w = weights - params.weights
-    d_w -= d_w.mean()
+    d_w -= d_w.sum() / d_w.size  # mean()'s own arithmetic, without its overhead
     d_mu = means - params.means
     if betas is not None:
         d_mu *= betas[:, None]
@@ -229,8 +229,8 @@ def _step_norm(new: GmmParams, cur: GmmParams) -> float:
     """Euclidean norm of ``new - cur`` in the flat layout, block by block."""
     sq = 0.0
     for a, b in ((new.weights, cur.weights), (new.means, cur.means), (new.covs, cur.covs)):
-        d = (a - b).ravel()
-        sq += float(d @ d)
+        d = a - b
+        sq += np.vdot(d, d)
     return math.sqrt(sq)
 
 

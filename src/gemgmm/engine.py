@@ -22,7 +22,7 @@ DEGENERATE_FRACTION = 1e-12
 def _checked_counts(moments: Moments) -> np.ndarray:
     """Per-component responsibility mass, checked for degeneracy."""
     counts, n = moments.counts, moments.n
-    if np.any(counts < DEGENERATE_FRACTION * n):
+    if (counts < DEGENERATE_FRACTION * n).any():
         j = int(np.argmin(counts))
         raise DegenerateComponentError(
             f"component {j} holds responsibility mass {counts[j]:.3e} "

@@ -186,7 +186,8 @@ def save_dataset(path, data: np.ndarray) -> None:
 
 def load_dataset(path, header: bool = False) -> np.ndarray:
     """The samples of a CSV, one per row: from its binary copy when the
-    CSV's digest names one (see :func:`save_dataset`), else parsed.
+    CSV's digest names one (see :func:`save_dataset`), else parsed; each
+    pass over them checks that they are finite (``core.as_dataset``).
 
     The CSV is hashed only when some copy lies beside it, so a CSV
     written elsewhere costs the parse alone.  A copy must be a 2-D
@@ -205,8 +206,8 @@ def load_dataset(path, header: bool = False) -> np.ndarray:
                 raise ValidationError(
                     f"binary copy {copy} holds a {x.dtype} array of shape {x.shape}, "
                     f"expected float64 with {lines} rows, one per line of {path.name}")
-            return as_dataset(x)
-    return as_dataset(_load_csv(path, "dataset", 1 if header else 0))
+            return x
+    return _load_csv(path, "dataset", 1 if header else 0)
 
 
 def save_trace_csv(path, trace: RunTrace) -> None:

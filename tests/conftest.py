@@ -23,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from gemgmm import GmmParams, NumericUnderflowError, ValidationError, core, dynamics, e_step
+from gemgmm import GmmParams, NumericUnderflowError, ValidationError, core, dynamics, e_step, io
 from gemgmm.analysis import (FD_STEP, GRID_RESOLUTION, LMI_TOL, RateCertificate, SectorBounds,
                              _probe_directions, lmi_matrix)
 
@@ -313,7 +313,8 @@ def recorded_iterates(algorithm):
 
 @pytest.fixture
 def dataset_scans(monkeypatch):
-    """A list that grows by one entry each time ``core.as_dataset`` runs."""
+    """A list that grows by one entry each time ``as_dataset`` runs,
+    through the binding in ``core`` or the one in ``io``."""
     scans = []
     original = core.as_dataset
 
@@ -322,4 +323,5 @@ def dataset_scans(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(core, "as_dataset", counted)
+    monkeypatch.setattr(io, "as_dataset", counted)
     return scans

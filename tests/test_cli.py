@@ -578,6 +578,41 @@ def test_fit_and_analyze_read_the_binary_copy_of_a_generated_dataset(tmp_path, m
         (tmp_path / "parsed" / "analysis.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["fit", "analyze"])
+def test_a_loaded_dataset_is_scanned_once(tmp_path, dataset_scans, command):
+    dataset = make_dataset_file(tmp_path, n=120)
+    dataset_scans.clear()  # the scan of generate's own samples
+    fit_cfg = write_config(tmp_path / "fit.json", true_model=TRUE_MODEL, dataset=dataset,
+                           init=ORTHO_INIT, max_iters=5)
+    argv = {"fit": ["fit", "--config", fit_cfg],
+            "analyze": ["analyze", str(tmp_path / "gen" / "truth.json"), "--dataset", dataset]}
+    assert main(argv[command] + ["--out", str(tmp_path / "out")]) in (0, 4)
+    assert len(dataset_scans) == 1
+
+
+@pytest.mark.parametrize("where", ["csv", "binary copy"])
+@pytest.mark.parametrize("command", ["fit", "analyze"])
+def test_a_non_finite_sample_exits_2(tmp_path, capsys, command, where):
+    dataset = Path(make_dataset_file(tmp_path, n=120))
+    if where == "csv":
+        rows = dataset.read_text().splitlines()
+        rows[7] = "inf," + rows[7].split(",")[1]
+        dataset.write_text("\n".join(rows) + "\n")
+    else:
+        copy, = dataset.parent.glob("dataset.csv.*.npy")
+        x = np.load(copy)
+        x[7, 1] = np.nan
+        np.save(copy, np.asfortranarray(x))
+    fit_cfg = write_config(tmp_path / "fit.json", true_model=TRUE_MODEL, dataset=str(dataset),
+                           init=ORTHO_INIT, max_iters=5)
+    argv = {"fit": ["fit", "--config", fit_cfg],
+            "analyze": ["analyze", str(tmp_path / "gen" / "truth.json"),
+                        "--dataset", str(dataset)]}
+    capsys.readouterr()
+    assert main(argv[command] + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: dataset contains non-finite entries\n"
+
+
 def test_analyze_em_jacobian(tmp_path):
     # EM's update-map Jacobian is its rate matrix; analyze accepts every algorithm
     dataset = make_dataset_file(tmp_path, n=120)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,29 @@ def test_params_error_names_first_bad_component_of_stack(covs, message):
 def test_params_rejects_nonfinite():
     with pytest.raises(ValidationError):
         GmmParams([1.0], [[np.nan]], [np.eye(1)])
+
+
+_ASYM = [[1.0, 0.2], [0.1, 1.0]]
+
+
+# With several violations at once, the first in the order finiteness,
+# weight positivity, weight sum, covariances is the one reported.
+@pytest.mark.parametrize("weights, means, covs, error, message", [
+    ([np.nan, 0.5], np.zeros((2, 2)), [np.eye(2), _ASYM], ValidationError, "finite"),
+    ([np.inf, 0.5], np.zeros((2, 2)), [np.eye(2), np.eye(2)], ValidationError, "finite"),
+    ([-0.5, 1.5], [[0.0, np.inf], [0.0, 0.0]], [np.eye(2), np.eye(2)], ValidationError, "finite"),
+    ([-0.5, 1.5], np.zeros((2, 2)), [np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]],
+     ValidationError, "finite"),
+    ([0.5, 0.5], np.zeros((2, 2)), [np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]],
+     ValidationError, "finite"),
+    ([-0.5, 1.5], np.zeros((2, 2)), [np.eye(2), _ASYM], SimplexViolationError, "positive"),
+    ([0.6, 0.6], np.zeros((2, 2)), [np.eye(2), _ASYM], SimplexViolationError, "sum to 1"),
+    ([0.5, 0.5], np.zeros((2, 2)), [-np.eye(2), _ASYM], InvalidCovarianceError,
+     "covariance 0 is not positive definite"),
+])
+def test_params_report_the_first_violated_check(weights, means, covs, error, message):
+    with pytest.raises(error, match=message):
+        GmmParams(weights, means, covs)
 
 
 # ---------------------------------------------------------------- layout
@@ -366,6 +390,27 @@ def test_epass_across_block_edges_matches_references(k, m, n):
     ll, h = _estep(p, _feature_major(x, m))
     assert ll == loglik
     assert np.max(np.abs(h.T - ref_h)) <= 1e-14
+
+
+@pytest.mark.parametrize("n, at", [(5, 3), (EPASS_BLOCK + 9, EPASS_BLOCK + 4)])
+def test_one_component_overflowing_leaves_the_sample_to_the_other(n, at):
+    # at sample `at` the narrow component's squared distance overflows,
+    # so its log-density is -inf, while the wide one's stays finite; in
+    # the first block and in a later one
+    p = GmmParams([0.5, 0.5], [[0.0], [0.0]], [[[1.0]], [[1e-10]]])
+    x = np.zeros((n, 1))
+    x[at] = 1e150
+    xt = _feature_major(x, 1)
+    d = xt[None] - p.means[:, :, None]
+    log_densities = _log_weighted_densities(d, *_factors(p), np.empty_like(d))
+    assert np.isfinite(log_densities[0, at]) and log_densities[1, at] == -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ll, h = _estep(p, xt)
+        loglik, moments = _epass(p, xt)
+    assert h[:, at].tolist() == [1.0, 0.0]
+    assert math.isfinite(ll) and loglik == ll
+    assert np.isfinite(moments.counts).all() and moments.counts[0] >= 1.0
 
 
 def test_underflow_names_the_global_sample_index():

@@ -20,7 +20,7 @@ from gemgmm import (
     sample,
     w_pb_gem_step,
 )
-from gemgmm import core
+from gemgmm import core, dynamics
 from gemgmm.dynamics import ALGORITHMS
 from gemgmm.errors import (
     DegenerateComponentError,
@@ -399,6 +399,40 @@ def test_run_makes_one_density_call_per_block_at_large_n(density_calls, algorith
     trace = run(TRUTH, data, algorithm, design=design, max_iters=400)
     assert trace.reason == "tolerance"
     assert len(density_calls) == (trace.iterations + 1) * math.ceil(n / core.EPASS_BLOCK)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_makes_one_epass_per_iterate(monkeypatch, algorithm):
+    passes = []
+    original = dynamics._epass
+
+    def counted(params, xt):
+        passes.append(params)
+        return original(params, xt)
+
+    monkeypatch.setattr(dynamics, "_epass", counted)
+    data = sample(TRUTH, 200, 191)
+    design = W_DESIGN if algorithm == "w_pb_gem" else None
+    trace = run(START, data, algorithm, design=design, max_iters=7, rel_ll_tol=1e-300)
+    assert trace.iterations == 7
+    assert len(passes) == trace.iterations + 1
+    assert passes[0] is START and passes[-1] is trace.final_params
+
+
+def test_run_takes_the_w_pb_gem_step_bound_in_dynamics(monkeypatch):
+    # the tracer and recorded_iterates rebind the step there; a rebound
+    # step that returns its point unchanged ends the run at iteration 1
+    calls = []
+
+    def fixed(params, moments, design):
+        calls.append(design)
+        return params
+
+    monkeypatch.setattr(dynamics, "w_pb_gem_step", fixed)
+    trace = run(START, sample(TRUTH, 200, 193), "w_pb_gem", design=W_DESIGN)
+    assert calls == [W_DESIGN]
+    assert trace.reason == "tolerance" and trace.iterations == 1
+    assert trace.records[1].step_norm == 0.0 and trace.final_params is START
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
