@@ -23,9 +23,10 @@ it forms the centred stack x - mean_j (K, m, b) once, gets the (K, b)
 log-densities and responsibilities from it, and adds the block's part
 to the log-likelihood and the moments.  Its temporaries are O(K*m*B)
 for any N, not O(K*N).  The block width is fixed, so the summation
-order is too; it differs from one sum over all N at roundoff.  The
-public (N, K) responsibilities are the transpose view of a (K, N) array
-filled block by block.
+order is too; it differs from one sum over all N at roundoff.
+:func:`log_likelihood` streams: it adds up the blocks' parts and holds
+no (K, N) array.  Only :func:`responsibilities` returns an O(K*N) array,
+the (N, K) transpose view of a (K, N) array filled block by block.
 
 Tangent pass.  :func:`_epass_tangent` walks the same blocks and gives
 the moments together with their exact derivative in the parameters, at
@@ -291,17 +292,6 @@ def _blocks(params: GmmParams, xt: np.ndarray):
         yield start, d, work, h, float(lse.sum())
 
 
-def _estep(params: GmmParams, xt: np.ndarray) -> tuple[float, np.ndarray]:
-    """The log-likelihood and the (K, N) responsibilities at ``params``
-    for validated (m, N) samples ``xt``, from one blocked pass."""
-    loglik = 0.0
-    resp = np.empty((params.n_components, xt.shape[1]))
-    for start, _, _, h, part in _blocks(params, xt):
-        loglik += part
-        resp[:, start:start + h.shape[1]] = h
-    return loglik, resp
-
-
 @dataclass(frozen=True, eq=False)
 class Moments:
     """K-sized sums of one E-pass over ``n`` samples: ``counts`` (K,) is
@@ -438,16 +428,25 @@ def e_step(params: GmmParams, data: np.ndarray) -> Moments:
 
 
 def log_likelihood(params: GmmParams, data: np.ndarray) -> float:
-    """Sum over samples of the log mixture density."""
-    return _estep(params, _feature_major(data, params.n_features))[0]
+    """Sum over samples of the log mixture density: the blocks' parts,
+    added as :func:`_epass` adds them, with no (K, N) array held."""
+    loglik = 0.0
+    for *_, part in _blocks(params, _feature_major(data, params.n_features)):
+        loglik += part
+    return loglik
 
 
 def responsibilities(params: GmmParams, data: np.ndarray) -> np.ndarray:
     """(N, K) posterior membership probabilities; rows sum to 1.
 
-    The result is the transpose view of the internal (K, N) array.
+    The result is the transpose view of a (K, N) array filled block by
+    block.
     """
-    return _estep(params, _feature_major(data, params.n_features))[1].T
+    xt = _feature_major(data, params.n_features)
+    resp = np.empty((params.n_components, xt.shape[1]))
+    for start, _, _, h, _ in _blocks(params, xt):
+        resp[:, start:start + h.shape[1]] = h
+    return resp.T
 
 
 def sample(params: GmmParams, n: int, seed: int) -> np.ndarray:

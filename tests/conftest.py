@@ -178,8 +178,8 @@ def q_function(params, params_prev, data):
     log-densities at ``params``.  One update step that increases this
     value (a generalized M-step) cannot decrease the log-likelihood.
     """
+    h = core.responsibilities(params_prev, data).T
     xt = core._feature_major(data, params.n_features)
-    h = core._estep(params_prev, xt)[1]
     d = xt - params.means[:, :, None]
     lw = core._log_weighted_densities(d, *core._factors(params), np.empty_like(d))
     with np.errstate(invalid="ignore"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,9 +19,9 @@ from gemgmm import (
 from gemgmm.analysis import _probe_directions
 from gemgmm.core import (
     EPASS_BLOCK,
+    _blocks,
     _epass,
     _epass_tangent,
-    _estep,
     _factors,
     _feature_major,
     _log_weighted_densities,
@@ -335,10 +336,10 @@ def test_estep_returns_exactly_loglik_and_responsibilities(k, m, n):
     p = make_params(rng, k, m)
     x = make_dataset(rng, n, m)
     xt = np.ascontiguousarray(as_dataset(x).T)
-    ll, h = _estep(p, xt)
-    assert ll == log_likelihood(p, x)
+    h = responsibilities(p, x).T
+    assert log_likelihood(p, x) == _epass(p, xt)[0]
     assert h.shape == (k, n) and h.flags.c_contiguous
-    assert np.array_equal(h.T, responsibilities(p, x))
+    assert np.array_equal(h, np.concatenate([blk[3].copy() for blk in _blocks(p, xt)], axis=1))
 
 
 @pytest.mark.parametrize("k, m, n", ORACLE_SHAPES)
@@ -346,16 +347,17 @@ def test_estep_matches_sample_major_reference(k, m, n):
     rng = np.random.default_rng(500 + 10 * k + m)
     p = make_params(rng, k, m)
     x = make_dataset(rng, n, m)
-    ll, h = _estep(p, np.ascontiguousarray(x.T))
+    ll, h = log_likelihood(p, x), responsibilities(p, x)
     ref_ll, ref_h = reference_estep(p, x)
     assert abs(ll - ref_ll) <= 1e-12 * abs(ref_ll)
-    assert np.max(np.abs(h.T - ref_h)) <= 1e-14
+    assert np.max(np.abs(h - ref_h)) <= 1e-14
 
 
 def test_estep_reports_underflow():
     p = GmmParams([0.5, 0.5], [[0.0], [1.0]], [np.eye(1), np.eye(1)])
-    with pytest.raises(NumericUnderflowError):
-        _estep(p, np.array([[0.0, 1e300]]))
+    for epass in (log_likelihood, responsibilities):
+        with pytest.raises(NumericUnderflowError):
+            epass(p, np.array([[0.0], [1e300]]))
 
 
 # Sample counts at and across the edges of the E-pass blocks, and two
@@ -387,9 +389,7 @@ def test_epass_across_block_edges_matches_references(k, m, n):
     assert _max_rel_err(moments.first / counts[:, None], means) <= BLOCK_EDGE_TOL
     assert _max_rel_err(moments.second / counts[:, None, None], covs) <= BLOCK_EDGE_TOL
     assert log_likelihood(p, x) == loglik
-    ll, h = _estep(p, _feature_major(x, m))
-    assert ll == loglik
-    assert np.max(np.abs(h.T - ref_h)) <= 1e-14
+    assert np.max(np.abs(responsibilities(p, x) - ref_h)) <= 1e-14
 
 
 @pytest.mark.parametrize("n, at", [(5, 3), (EPASS_BLOCK + 9, EPASS_BLOCK + 4)])
@@ -406,9 +406,9 @@ def test_one_component_overflowing_leaves_the_sample_to_the_other(n, at):
     assert np.isfinite(log_densities[0, at]) and log_densities[1, at] == -np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ll, h = _estep(p, xt)
+        ll, h = log_likelihood(p, x), responsibilities(p, x)
         loglik, moments = _epass(p, xt)
-    assert h[:, at].tolist() == [1.0, 0.0]
+    assert h[at].tolist() == [1.0, 0.0]
     assert math.isfinite(ll) and loglik == ll
     assert np.isfinite(moments.counts).all() and moments.counts[0] >= 1.0
 
@@ -418,10 +418,27 @@ def test_underflow_names_the_global_sample_index():
     x = np.zeros((2 * EPASS_BLOCK + 17, 1))
     bad = 2 * EPASS_BLOCK + 5
     x[bad] = 1e300
-    xt = _feature_major(x, 1)
-    for epass in (_epass, _estep):
+    for epass, data in ((_epass, _feature_major(x, 1)), (log_likelihood, x), (responsibilities, x)):
         with pytest.raises(NumericUnderflowError, match=rf"at sample {bad}$"):
-            epass(p, xt)
+            epass(p, data)
+
+
+def test_log_likelihood_streams_the_epass_blocks():
+    # Over eight full blocks and a part, the streamed sum equals the
+    # E-pass's bit for bit, and the pass holds no (K, N) array: its peak
+    # stays below the K * N * 8 bytes of one.
+    k, n = 4, 8 * EPASS_BLOCK + 17
+    rng = np.random.default_rng(900)
+    p = make_params(rng, k, 1)
+    x = make_dataset(rng, n, 1)
+    tracemalloc.start()
+    try:
+        ll = log_likelihood(p, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ll == _epass(p, _feature_major(x, 1))[0]
+    assert peak < k * n * 8
 
 
 # The tangent pass on the Jacobian shapes, and across block edges: its
