@@ -32,7 +32,8 @@ Tangent pass.  :func:`_epass_tangent` walks the same blocks and gives
 the moments together with their exact derivative in the parameters, at
 any point: the derivative of the responsibilities is the complete-data
 score about its posterior mean, so one pass sums K Gram matrices of
-g = (1, d, vech(d d')) and one Gram matrix of their h-weighted stack.
+g = (1, d, vech(d d')) and one Gram matrix of their h-weighted stack,
+and stays on vech until one gather maps the result to the flat layout.
 The update-map Jacobian reads it (:mod:`gemgmm.analysis`).
 """
 
@@ -360,66 +361,64 @@ def _epass_tangent(params: GmmParams, xt: np.ndarray) -> tuple[Moments, np.ndarr
 
     The derivative is a (D, D) matrix in the flat layout: column i is the
     change of ``layout.join(counts, first, second)`` per unit change of
-    parameter coordinate i.  Per component j and sample t the pass forms
-    g_tj = (1, d_tj, vec(d_tj d_tj')), d_tj = x_t - mu_j, and sums the
-    Gram matrices W_j = sum_t h_tj g_tj g_tj' and C = G G', where G
-    stacks h_tj g_tj over j.  A direction v changes log(w_j N_j(x_t)) by
-    (L_j' v_j)' g_tj (the complete-data score), so the responsibilities
-    move by h_tj (L_j' v_j . g_tj - sum_k h_tk L_k' v_k . g_tk) and the
-    moments by R (blockdiag_j W_j - C) L' v, R_j mapping g to
-    (1, x, vec(d d')); the second moment about mu_j also moves with mu_j
-    itself, by -(dmu_j r_j' + r_j dmu_j'), r_j = sum_t h_tj d_tj.  This
-    is the missing-information term of Louis (1982).
+    parameter coordinate i.  Per component j and sample t the pass
+    (:func:`_tangent_grams`) forms g_tj = (1, d_tj, vech(d_tj d_tj')),
+    d_tj = x_t - mu_j, q = 1 + m + m (m + 1) / 2 entries, and sums the
+    Grams W_j = sum_t h_tj g_tj g_tj' and C = G G', G stacking h_tj g_tj
+    over j.  A direction v_j = (dw_j, dmu_j, vec dC_j) changes
+    log(w_j N_j(x_t)) by S_j v_j . g_tj (the complete-data score), so the
+    responsibilities move by h_tj (S_j v_j . g_tj - sum_k h_tk S_k v_k . g_tk)
+    and the sums of h g by (blockdiag_j W_j - C) blockdiag_j S_j v.  S_j
+    is q x p, p = 1 + m + m^2: (1/w_j, 0, -vec(P_j) / 2) for the 1, with
+    P_j = cov_j^-1; P_j on dmu_j for d; and for d_a d_b, which stands for
+    both entries of d d', (P_ar P_bc + P_ac P_br) / 2 on dC_rc, or
+    P_ar P_ac / 2 for a = b.  The first moment sums h (d + mu_j); the
+    second, about mu_j, also moves with mu_j itself, by
+    -(dmu_j r_j' + r_j dmu_j'), r_j = sum_t h_tj d_tj.  This is the
+    missing-information term of Louis (1982).  The rows stay on vech until
+    one gather maps them and the columns to the flat layout; no
+    vec-layout copy of the Grams is made.
 
-    d d' is symmetric, so the pass (:func:`_tangent_grams`) sums the
-    Grams of the shorter g = (1, d, vech(d d')), q = 1 + m + m (m + 1) / 2
-    entries, and their entries are copied to the vec layout afterwards.
     W_j's entry [0, 0] and d d' block sum the counts and the second
     moment too, but in another order than :func:`_epass`; the moments
     are summed as there, so they equal its own bit for bit, and the
     update-map Jacobian, which differences steps taken from them, does
     not move with the summation order.  The pass costs O(N (K q)^2) and
-    holds two (K, q, b) buffers; the result is (K p)^2, p = 1 + m + m^2.
+    holds two (K, q, b) buffers; the result is (K p)^2.
     """
     k, m = params.n_components, params.n_features
     p, q = 1 + m + m * m, 1 + m + m * (m + 1) // 2
     moments, own, cross = _tangent_grams(params, xt)
+    ia, ib = np.triu_indices(m)
 
-    # Entry i of g in the vec layout is entry vech[i] of the short g.
-    upper = np.zeros((m, m), dtype=np.intp)
-    upper[np.triu_indices(m)] = np.arange(1 + m, q)
-    vech = np.concatenate([np.arange(1 + m), np.maximum(upper, upper.T).ravel()])
-    own = own[:, vech[:, None], vech]
-    # tangent holds -C until the loop below adds each W_j.
-    stack = (q * np.arange(k)[:, None] + vech).ravel()
-    tangent = cross[np.ix_(stack, stack)]
-    np.negative(tangent, out=tangent)
-
-    # score[j] is L_j': a direction (dw_j, dmu_j, vec dC_j) to its
-    # coefficients on g.
     inv_chol = _factors(params)[0]
     prec = inv_chol.transpose(0, 2, 1) @ inv_chol
-    score = np.zeros((k, p, p))
+    score = np.zeros((k, q, p))
     score[:, 0, 0] = 1.0 / params.weights
     score[:, 0, 1 + m:] = -0.5 * prec.reshape(k, m * m)
     score[:, 1:1 + m, 1:1 + m] = prec
-    score[:, 1 + m:, 1 + m:] = 0.5 * (prec[:, :, None, :, None]
-                                      * prec[:, None, :, None, :]).reshape(k, m * m, m * m)
+    outer = prec[:, ia, :, None] * prec[:, ib, None, :]
+    half = np.where(ia == ib, 0.25, 0.5)[:, None, None]
+    score[:, 1 + m:, 1 + m:] = (half * (outer + outer.transpose(0, 1, 3, 2))).reshape(k, -1, m * m)
     r = own[:, 1:1 + m, 0]
     eye = np.eye(m)
-    centring = (eye[None, :, None, :] * r[:, None, :, None]
-                + r[:, :, None, None] * eye[None, None, :, :]).reshape(k, m * m, m)
-    rows = tangent.reshape(k, p, k * p)
+    centring = eye[ia] * r[:, ib, None] + r[:, ia, None] * eye[ib]
+    np.negative(cross, out=cross)  # -C until the loop adds each W_j
+    tangent = np.empty((k * q, k * p))
+    rows = tangent.reshape(k, q, k * p)
     for j in range(k):
-        cols = slice(j * p, (j + 1) * p)
-        rows[j, :, cols] += own[j]
-        tangent[:, cols] = tangent[:, cols] @ score[j]
+        block = slice(j * q, (j + 1) * q)
+        cross[block, block] += own[j]
+        tangent[:, j * p:(j + 1) * p] = cross[:, block] @ score[j]
         rows[j, 1 + m:, j * p + 1:j * p + 1 + m] -= centring[j]
     rows[:, 1:1 + m] += params.means[:, :, None] * rows[:, :1]
-    # Component-major rows and columns to the flat layout.
-    idx = np.arange(k * p).reshape(k, p)
-    order = params.layout.join(idx[:, 0], idx[:, 1:1 + m], idx[:, 1 + m:].reshape(k, m, m)).astype(np.intp)
-    return moments, tangent[np.ix_(order, order)]
+    # d_a d_b is vech entry upper[a, b]; one gather maps both axes to the flat layout.
+    upper = np.zeros((m, m), dtype=np.intp)
+    upper[ia, ib] = upper[ib, ia] = np.arange(1 + m, q)
+    vech = np.r_[:1 + m, upper.ravel()]
+    order = [params.layout.join(s[:, 0], s[:, 1:1 + m], s[:, 1 + m:].reshape(k, m, m)).astype(np.intp)
+             for s in (q * np.arange(k)[:, None] + vech, np.arange(k * p).reshape(k, p))]
+    return moments, tangent[np.ix_(*order)]
 
 
 def e_step(params: GmmParams, data: np.ndarray) -> Moments:

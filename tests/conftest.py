@@ -115,14 +115,6 @@ def dense(op, size):
     return np.column_stack([op(e) for e in np.eye(size)])
 
 
-def align_means(means, target):
-    """Max per-coordinate error of ``means`` against ``target`` up to
-    swapping the two rows."""
-    direct = np.abs(means - target).max()
-    swapped = np.abs(means - target[::-1]).max()
-    return min(direct, swapped)
-
-
 # (K, m, N) shapes on which the package kernels are checked against the
 # references below.
 ORACLE_SHAPES = [(1, 1, 7), (2, 2, 40), (3, 3, 25), (8, 16, 500)]
@@ -240,8 +232,9 @@ def fd_update_map_jacobian(params, data, algorithm, design=None):
 def vec_epass_tangent(params, xt):
     """``core._epass_tangent`` summed on g = (1, d, vec(d d')),
     p = 1 + m + m^2 entries, with the counts and the second moment summed
-    on their own: the moments and their (D, D) derivative in the flat
-    layout from (m, N) samples ``xt``."""
+    on their own, and its Grams mapped through the Kronecker score
+    (P_j kron P_j) / 2 in the vec layout: the moments and their (D, D)
+    derivative in the flat layout from (m, N) samples ``xt``."""
     k, m = params.n_components, params.n_features
     p = 1 + m + m * m
     counts, first, second = np.zeros(k), np.zeros((k, m)), np.zeros((k, m, m))

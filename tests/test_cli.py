@@ -684,6 +684,10 @@ _BAD_RUN_FIELDS = {
     "tol-infinite": {"tol": math.inf},
     "inset-nan": {"inset": [math.nan, 40]},
     "inset-reversed": {"plot": True, "inset": [40, 0]},
+    "init-unknown-kind": {"init": {"kind": "bogus"}},
+    "init-explicit-without-params": {"init": {"kind": "explicit"}},
+    "init-explicit-params-number": {"init": {"kind": "explicit", "params": 5}},
+    "init-without-distance": {"init": {"kind": "orthogonal-line"}},
 }
 _BAD_SECTORS = {
     "sector-non-numeric": {"m_lo": "x", "L_hi": 1},
@@ -708,6 +712,29 @@ def test_malformed_config_value_exits_2(tmp_path, command, fields):
         mapping["dataset"] = make_dataset_file(tmp_path, n=60)
     cfg = write_config(tmp_path / "c.json", **{**mapping, **fields})
     assert main([command, "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("command, message", [
+    ("fit", "orthogonal-line init needs the true model (config key 'true_model')"),
+    ("replicate", "replicate requires a true model (config key 'true_model')"),
+])
+def test_missing_true_model_exits_2(tmp_path, capsys, command, message):
+    mapping = {"init": ORTHO_INIT, "n_samples": 60, "instances": 2, "out": str(tmp_path / "out")}
+    if command == "fit":
+        mapping["dataset"] = make_dataset_file(tmp_path, n=60)
+    capsys.readouterr()
+    assert main([command, "--config", write_config(tmp_path / "c.json", **mapping)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_on_a_directory_as_dataset_exits_2(tmp_path, capsys):
+    (tmp_path / "data").mkdir()
+    cfg = write_config(tmp_path / "c.json", dataset=str(tmp_path / "data"), true_model=TRUE_MODEL,
+                       init=ORTHO_INIT, out=str(tmp_path / "out"))
+    assert main(["fit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
 
 
 def test_analyze_rejects_a_dataset_as_trace(tmp_path):

@@ -60,6 +60,8 @@ def test_params_valid_construction_freezes_arrays():
     ([0.5, 0.5], [[0.0]], [np.eye(1), np.eye(1)]),          # means row count
     ([1.0], [[0.0, 0.0]], [np.eye(1)]),                     # cov dim mismatch
     ([0.5, 0.5], [[0.0], [1.0]], [np.eye(1)]),              # missing cov
+    ([], [], []),                                           # no component
+    ([1.0], [[]], np.zeros((1, 0, 0))),                     # no feature
 ])
 def test_params_shape_validation(weights, means, covs):
     with pytest.raises(ValidationError):
@@ -462,10 +464,11 @@ def test_epass_tangent_moments_equal_the_epass(k, m, n):
         assert np.array_equal(got, want)
 
 
-# The tangent pass sums its Grams on vech(d d') and copies them to the
-# vec layout; the pass on vec(d d') is the reference.  Only the order of
-# the Gram sums differs, so 1e-13 of the largest entry bounds it; also
-# at K=8, m=16, where vech has 136 entries in place of 256.
+# The tangent pass sums its Grams and applies the score on vech(d d'),
+# and only its final gather maps rows to the vec layout; the pass on
+# vec(d d') with the Kronecker score is the reference.  Only the order of
+# the sums differs, so 1e-13 of the largest entry bounds it; also at
+# K=8, m=16, where vech has 136 entries in place of 256.
 @pytest.mark.parametrize("k, m, n", TANGENT_CASES + [(8, 16, 500), (3, 3, 2 * EPASS_BLOCK + 17)])
 def test_epass_tangent_matches_the_vec_pass(k, m, n):
     rng = np.random.default_rng(900 + 10 * k + m)
