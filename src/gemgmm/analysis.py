@@ -134,26 +134,25 @@ def _probe_directions(layout):
         yield layout.join(w - w.mean(), mu, 0.5 * (cv + cv.transpose(0, 2, 1)))
 
 
-def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm,
+def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm: str,
                         design: MeanStepWeights | None = None) -> JacobianReport:
     """Jacobian of an update map at ``params``: central differences of
     step ``FD_STEP`` through the K-sized step, fed the exact derivative of
     the E-step's moments.
 
     ``algorithm`` is one of :data:`~gemgmm.dynamics.ALGORITHMS`
-    (``"w_pb_gem"`` with ``design``), or a custom map ``(params, moments)
-    -> GmmParams`` that takes no design.  ``data`` is checked once, and
-    one tangent pass over it (:func:`~gemgmm.core._epass_tangent`) gives
-    the moments M at ``params`` and their derivative T, at any point,
-    fixed or not.  A probe along direction v then maps ``params +- h v``
-    to ``step(params +- h v, M +- h T v)``: no probe makes a pass over
-    the samples, and every map, built-in or custom, goes through this
-    one route.  Columns follow the flat layout; probes along constrained
-    coordinates stay on the constraint set (see
-    :func:`_probe_directions`), so directions orthogonal to it contribute
-    zero columns (for K=1 the weight direction is trivial).  Eigenvalue
-    moduli near 0 mean the map forgets its input like a Newton step;
-    moduli near 1 mean first-order behavior.
+    (``"w_pb_gem"`` with ``design``).  ``data`` is checked once, and one
+    tangent pass over it (:func:`~gemgmm.core._epass_tangent`) gives the
+    moments M at ``params`` and their derivative T, at any point, fixed
+    or not.  A probe along direction v then maps ``params +- h v`` to
+    ``step(params +- h v, M +- h T v)``: no probe makes a pass over the
+    samples, and every algorithm goes through this one route.  Columns
+    follow the flat layout; probes along constrained coordinates stay on
+    the constraint set (see :func:`_probe_directions`), so directions
+    orthogonal to it contribute zero columns (for K=1 the weight
+    direction is trivial).  Eigenvalue moduli near 0 mean the map
+    forgets its input like a Newton step; moduli near 1 mean first-order
+    behavior.
     """
     step = _step_for(algorithm, design, params.n_components)
     moments, tangent = _epass_tangent(params, _feature_major(data, params.n_features))

@@ -47,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("analyze", "rate certificate / jacobian spectrum / empirical rate")))
     for p in (gen, fit, rep, ana):
         p.add_argument("--config", metavar="PATH", help="JSON config; flags override fields")
-        p.add_argument("--seed", metavar="INT")
         p.add_argument("--out", metavar="DIR", help="output directory")
+    for p in (gen, fit, rep):
+        p.add_argument("--seed", metavar="INT")
     for p in (fit, ana):
         p.add_argument("--dataset", metavar="PATH", help="dataset CSV")
         p.add_argument("--algo", dest="algorithm", choices=_ALGO_CHOICES)

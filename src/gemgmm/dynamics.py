@@ -34,7 +34,7 @@ they are not on the iteration path.  They and
 because the benchmark tracer (``perfbench/tracing.py``) names them.
 
 :func:`_step_for` is the one place that turns an algorithm name (and a
-design, for ``w_pb_gem``) or a custom map into its step; :func:`run` and
+design, for ``w_pb_gem``) into its step; :func:`run` and
 :func:`~gemgmm.analysis.update_map_jacobian` both go through it.  The
 Jacobian feeds the step the moments of one tangent pass
 (:func:`~gemgmm.core._epass_tangent`) moved along their exact
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,21 +165,16 @@ def w_pb_gem_step(params: GmmParams, moments: Moments, design: MeanStepWeights) 
     return _gem_step(params, moments, betas=design.betas)
 
 
-def _step_for(algorithm: str | Callable[..., GmmParams], design: MeanStepWeights | None,
-              n_components: int) -> Callable[[GmmParams, Moments], GmmParams]:
-    """The step that ``algorithm`` names, as ``(params, moments) -> GmmParams``.
+def _step_for(algorithm: str, design: MeanStepWeights | None, n_components: int):
+    """The step that the name ``algorithm`` (one of :data:`ALGORITHMS`)
+    stands for, as ``(params, moments) -> GmmParams``.
 
-    ``algorithm`` is a name in :data:`ALGORITHMS` or a custom map with
-    that signature.  The only place that checks the name and that a design
-    is given exactly when the algorithm is ``w_pb_gem``; it also checks
-    the design against the start point's ``n_components``, before any
-    step.  Steps are looked up in this module when this is called, so a step
-    rebound here (by a tracer or a test, say) is the one that runs.
+    The only place that checks the name and that a design is given
+    exactly when the algorithm is ``w_pb_gem``; it also checks the design
+    against the start point's ``n_components``, before any step.  Steps
+    are looked up in this module when this is called, so a step rebound
+    here (by a tracer or a test, say) is the one that runs.
     """
-    if callable(algorithm):
-        if design is not None:
-            raise ValidationError("a custom update map takes no design")
-        return algorithm
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if algorithm == "w_pb_gem":
@@ -189,7 +183,8 @@ def _step_for(algorithm: str | Callable[..., GmmParams], design: MeanStepWeights
         design.check(n_components)
         return lambda p, moments: w_pb_gem_step(p, moments, design)
     if design is not None:
-        raise ValidationError(f"algorithm {algorithm!r} takes no design")
+        raise ValidationError(f"algorithm {algorithm!r} takes no design; "
+                              "beta applies only to w_pb_gem")
     return {"em": em_step, "pb_gem": pb_gem_step}[algorithm]
 
 
@@ -213,7 +208,7 @@ class RunTrace:
     records: list[TraceRecord]
     reason: str                  # "tolerance" | "max_iters" | "error" (partial)
     final_params: GmmParams
-    algorithm: str | Callable[..., GmmParams]
+    algorithm: str
     wall_time: float = 0.0
 
     @property
@@ -234,7 +229,7 @@ def _step_norm(new: GmmParams, cur: GmmParams) -> float:
     return math.sqrt(sq)
 
 
-def run(params: GmmParams, data: np.ndarray, algorithm: str | Callable[..., GmmParams], *,
+def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
         design: MeanStepWeights | None = None, rel_ll_tol: float = 1e-10,
         max_iters: int = 10_000) -> RunTrace:
     """Iterate one of the update maps until the relative change of the

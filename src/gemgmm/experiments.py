@@ -21,8 +21,8 @@ from . import io
 from .analysis import (FD_STEP, GRID_RESOLUTION, SectorBounds, empirical_rate, rate_bound,
                        rate_certificate, update_map_jacobian)
 from .core import GmmParams, sample
-from .dynamics import ALGORITHMS, MeanStepWeights, RunTrace, run
-from .errors import StepFailure, ValidationError
+from .dynamics import ALGORITHMS, MeanStepWeights, RunTrace, _step_for, run
+from .errors import NumericalError, StepFailure, ValidationError
 from .svgplot import line_plot
 
 DEFAULT_TOL = 1e-10
@@ -183,12 +183,14 @@ def _initial_params(config: ExperimentConfig, truth: GmmParams | None) -> GmmPar
 
 def _design_for(config: ExperimentConfig, algorithm: str,
                 n_components: int) -> MeanStepWeights | None:
-    """The design ``algorithm`` takes (None unless ``w_pb_gem``), checked against K."""
-    if algorithm != "w_pb_gem":
-        return None
-    betas = config.beta if config.beta is not None else [DEFAULT_BETA] * n_components
-    design = MeanStepWeights(np.asarray(betas, dtype=float))
-    design.check(n_components)
+    """The configured betas as a design (``DEFAULT_BETA`` per component
+    when ``w_pb_gem`` is given none), judged with ``algorithm`` and K by
+    :func:`~gemgmm.dynamics._step_for` before any fit, pass or probe."""
+    betas = config.beta
+    if betas is None and algorithm == "w_pb_gem":
+        betas = [DEFAULT_BETA] * n_components
+    design = None if betas is None else MeanStepWeights(np.asarray(betas, dtype=float))
+    _step_for(algorithm, design, n_components)
     return design
 
 
@@ -300,6 +302,8 @@ def cmd_replicate(config: ExperimentConfig) -> dict:
     seed_stride) and fits both algorithms from the same initialization.
     Emits the per-iteration mean/std of the negative log-likelihood
     across instances, iteration-count statistics, and failure records.
+    When every run fails, the summary is written all the same and a
+    NumericalError is raised in place of the aggregate.
     """
     if config.instances < 2:
         raise ValidationError(f"replicate needs at least 2 instances, got {config.instances}")
@@ -311,7 +315,7 @@ def cmd_replicate(config: ExperimentConfig) -> dict:
             f"replicate seeds must be non-negative: seed {config.seed} with stride "
             f"{config.seed_stride} over {config.instances} instances reaches {last_seed}")
     truth = _resolve_params(config.true_model)
-    designs = {a: _design_for(config, a, truth.n_components) for a in ("pb_gem", "w_pb_gem")}
+    designs = {"pb_gem": None, "w_pb_gem": _design_for(config, "w_pb_gem", truth.n_components)}
     start = _initial_params(config, truth)
     traces: dict[str, list[RunTrace]] = {a: [] for a in designs}
     failures = []
@@ -327,34 +331,7 @@ def cmd_replicate(config: ExperimentConfig) -> dict:
                 continue
             traces[algorithm].append(trace)
 
-    n_rows = max((tr.logliks.size for lst in traces.values() for tr in lst), default=0)
-    if n_rows == 0:
-        raise ValidationError("every replicate instance failed; nothing to aggregate")
-    # An algorithm without runs keeps NaN CSV columns but gets no curve:
-    # NaN would blank the plot's y-axis for every curve.
-    header, columns, curves, stats = ["iter"], [], [], {}
-    for algorithm, lst in traces.items():
-        tag = algorithm.replace("_gem", "").replace("_", "")
-        header += [f"mean_negll_{tag}", f"std_negll_{tag}"]
-        stats[algorithm] = _iteration_stats(lst)
-        if lst:
-            negll = np.vstack([np.pad(-tr.logliks, (0, n_rows - tr.logliks.size), mode="edge")
-                               for tr in lst])
-            mean, std = negll.mean(axis=0), negll.std(axis=0)
-            curves.append({"label": algorithm.replace("_", "-"), "x": np.arange(n_rows),
-                           "y": mean, "band": (mean - std, mean + std)})
-        else:
-            mean = std = np.full(n_rows, np.nan)
-        columns += [mean, std]
-
-    out = _outdir(config)
-    csv_path = out / "replicate.csv"
-    io.save_table(csv_path, [
-        "# per-iteration negative log-likelihood aggregated across replicate instances",
-        "# runs shorter than the longest run are padded by repeating their terminal value",
-        ",".join(header),
-    ], zip(range(n_rows), *(col.tolist() for col in columns)))
-
+    stats = {algorithm: _iteration_stats(lst) for algorithm, lst in traces.items()}
     faster = None
     if stats["pb_gem"]["runs"] and stats["w_pb_gem"]["runs"]:
         faster = bool(stats["w_pb_gem"]["mean_iterations"] < stats["pb_gem"]["mean_iterations"])
@@ -369,8 +346,33 @@ def cmd_replicate(config: ExperimentConfig) -> dict:
         "failures": failures,
         "failure_count": len(failures),
     }
-    paths = {"aggregate": str(csv_path), "summary": str(out / "replicate_summary.json")}
+    out = _outdir(config)
+    paths = {"aggregate": str(out / "replicate.csv"), "summary": str(out / "replicate_summary.json")}
     io.save_json(paths["summary"], summary)
+    n_rows = max((tr.logliks.size for lst in traces.values() for tr in lst), default=0)
+    if n_rows == 0:
+        raise NumericalError(f"every replicate run failed; the {len(failures)} failures "
+                             f"are listed in {paths['summary']}")
+    # An algorithm without runs keeps NaN CSV columns but gets no curve:
+    # NaN would blank the plot's y-axis for every curve.
+    header, columns, curves = ["iter"], [], []
+    for algorithm, lst in traces.items():
+        tag = algorithm.replace("_gem", "").replace("_", "")
+        header += [f"mean_negll_{tag}", f"std_negll_{tag}"]
+        if lst:
+            negll = np.vstack([np.pad(-tr.logliks, (0, n_rows - tr.logliks.size), mode="edge")
+                               for tr in lst])
+            mean, std = negll.mean(axis=0), negll.std(axis=0)
+            curves.append({"label": algorithm.replace("_", "-"), "x": np.arange(n_rows),
+                           "y": mean, "band": (mean - std, mean + std)})
+        else:
+            mean = std = np.full(n_rows, np.nan)
+        columns += [mean, std]
+    io.save_table(paths["aggregate"], [
+        "# per-iteration negative log-likelihood aggregated across replicate instances",
+        "# runs shorter than the longest run are padded by repeating their terminal value",
+        ",".join(header),
+    ], zip(range(n_rows), *(col.tolist() for col in columns)))
     if config.plot:
         paths["plot"] = _write_plot(out / "replicate.svg", curves,
                                     "replicated negative log-likelihood (mean +/- std)", config)

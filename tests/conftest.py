@@ -14,7 +14,8 @@ of every row of mu) are oracles for the steps and the rate certificate;
 every probe point) is the oracle for the update-map Jacobian, and
 ``vec_epass_tangent`` (the tangent pass on g = (1, d, vec(d d'))) the
 oracle for the package's tangent pass on vech(d d').
-``recorded_iterates`` collects the iterates of a run.
+``recorded_iterates`` collects the iterates of a run, and
+``pb_gem_step_as`` puts a fake step in place of ``pb_gem_step``.
 """
 
 import contextlib
@@ -318,3 +319,11 @@ def dataset_scans(monkeypatch):
     monkeypatch.setattr(core, "as_dataset", counted)
     monkeypatch.setattr(io, "as_dataset", counted)
     return scans
+
+
+@pytest.fixture
+def pb_gem_step_as(monkeypatch):
+    """Rebinds ``gemgmm.dynamics.pb_gem_step``, the step that ``run`` and
+    ``update_map_jacobian`` take for ``"pb_gem"``, to a given ``(params,
+    moments) -> GmmParams`` map for the rest of the test."""
+    return lambda step: monkeypatch.setattr(dynamics, "pb_gem_step", step)

@@ -398,6 +398,26 @@ def test_beta_of_the_wrong_length_exits_2(tmp_path, capsys, monkeypatch, command
     assert runs == []
 
 
+@pytest.mark.parametrize("argv", [["fit"], ["fit", "--algo", "em"], ["analyze"],
+                                  ["analyze", "--algo", "em"]])
+def test_beta_with_an_algorithm_that_takes_none_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # beta applies only to w-pb-gem; the rule is checked before any fit or Jacobian
+    dataset = make_dataset_file(tmp_path, n=60)
+    calls = []
+    monkeypatch.setattr(experiments, "run", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(experiments, "update_map_jacobian",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = write_config(tmp_path / "c.json", true_model=TRUE_MODEL, dataset=dataset,
+                       init=ORTHO_INIT, max_iters=50, out=str(tmp_path / "out"))
+    argv = [*argv, "--config", cfg, "--beta", "0.9,0.9"]
+    if argv[0] == "analyze":
+        argv.append(str(tmp_path / "gen" / "truth.json"))
+    assert main(argv) == 2
+    assert "takes no design; beta applies only to w_pb_gem" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv_extra, missing", [
     ([], "dataset"),
 ])
@@ -507,6 +527,26 @@ def test_replicate_rejects_negative_seed_stride(tmp_path, monkeypatch):
                        out=str(tmp_path / "rep"))
     assert main(["replicate", "--config", cfg]) == 2
     assert len(fits) == 0
+
+
+def test_replicate_in_which_every_run_fails_exits_3_and_keeps_its_summary(tmp_path, capsys):
+    # the second mean starts so far out that component 1 gets no mass
+    start = dict(TRUE_MODEL, mu=[[0.0, 0.0], [1000.0, 1000.0]])
+    cfg = write_config(tmp_path / "rep.json", true_model=TRUE_MODEL, n_samples=200,
+                       instances=2, init={"kind": "explicit", "params": start},
+                       plot=True, out=str(tmp_path / "rep"))
+    assert main(["replicate", "--config", cfg]) == 3
+    assert "every replicate run failed" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "rep" / "replicate_summary.json").read_text())
+    assert summary["failure_count"] == 4
+    error = ("component 1 holds responsibility mass 0.000e+00 over 200 samples "
+             "(threshold 1e-12 * N)")
+    assert summary["failures"] == [
+        {"instance": i, "algorithm": algorithm, "iteration": 1, "error": error}
+        for i in range(2) for algorithm in ("pb_gem", "w_pb_gem")]
+    assert summary["pb_gem"] == summary["w_pb_gem"] == {"runs": 0}
+    assert summary["weighted_mean_iterations_below_plain"] is None
+    assert sorted(p.name for p in (tmp_path / "rep").iterdir()) == ["replicate_summary.json"]
 
 
 def test_replicate_requires_two_instances(tmp_path):
@@ -785,6 +825,14 @@ def test_invalid_model_values_exit_2(tmp_path, capsys, command, model):
 def test_bad_arguments_exit_code():
     assert main([]) == 2
     assert main(["fit", "--algo", "bogus"]) == 2
+
+
+def test_analyze_has_no_seed_flag(capsys):
+    # nothing in analyze reads a seed; generate, fit and replicate keep the flag
+    assert main(["analyze", "--seed", "5", "--trace", "t.csv"]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    for command in ("generate", "fit", "replicate"):
+        assert build_parser().parse_args([command, "--seed", "5"]).seed == "5"
 
 
 def test_bad_config_file(tmp_path):
