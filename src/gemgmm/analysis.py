@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GmmParams, Moments, _epass_tangent, _feature_major
-from .dynamics import MeanStepWeights, RunTrace, _step_for
+from .dynamics import MeanStepWeights, RunTrace, _step_for, apply_projection
 from .errors import GemGmmError, ValidationError
 
 # Negative semidefiniteness is decided by an eigenvalue test with this
@@ -119,21 +119,6 @@ def rate_certificate(bounds: SectorBounds) -> RateCertificate:
     return RateCertificate(float(mus[row]), float(lams[certified(row)[0]]), True)
 
 
-def _probe_directions(layout):
-    """Yield feasible-layout perturbation directions, one per coordinate.
-
-    Each raw basis vector is projected orthogonally onto the constraint
-    set's tangent space: the weight block onto the zero-sum subspace, each
-    covariance block onto the symmetric matrices.  Every probe point thus
-    stays on the constraint set; mean coordinates are unconstrained.
-    """
-    for idx in range(layout.size):
-        unit = np.zeros(layout.size)
-        unit[idx] = 1.0
-        w, mu, cv = layout.split(unit)
-        yield layout.join(w - w.mean(), mu, 0.5 * (cv + cv.transpose(0, 2, 1)))
-
-
 def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm: str,
                         design: MeanStepWeights | None = None) -> JacobianReport:
     """Jacobian of an update map at ``params``: central differences of
@@ -147,10 +132,11 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm: str,
     or not.  A probe along direction v then maps ``params +- h v`` to
     ``step(params +- h v, M +- h T v)``: no probe makes a pass over the
     samples, and every algorithm goes through this one route.  Columns
-    follow the flat layout; probes along constrained coordinates stay on
-    the constraint set (see :func:`_probe_directions`), so directions
-    orthogonal to it contribute zero columns (for K=1 the weight
-    direction is trivial).  Eigenvalue moduli near 0 mean the map
+    follow the flat layout; probe ``idx`` runs along
+    :func:`~gemgmm.dynamics.apply_projection` of the ``idx``-th basis
+    vector, so every probe point stays on the constraint set and
+    directions orthogonal to it contribute zero columns (for K=1 the
+    weight direction is trivial).  Eigenvalue moduli near 0 mean the map
     forgets its input like a Newton step; moduli near 1 mean first-order
     behavior.
     """
@@ -167,7 +153,8 @@ def update_map_jacobian(params: GmmParams, data: np.ndarray, algorithm: str,
         mo = Moments(moments.n, moments.counts + dc, moments.first + df, moments.second + ds)
         return step(p, mo).to_vector()
 
-    for idx, direction in enumerate(_probe_directions(layout)):
+    for idx in range(layout.size):
+        direction = apply_projection(np.eye(1, layout.size, idx)[0], layout)
         # At most K nonzeros (a weight probe), so T v reads that many
         # columns of T.
         nonzero = np.flatnonzero(direction)

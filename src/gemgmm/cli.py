@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (gen, fit, rep, ana):
         p.add_argument("--config", metavar="PATH", help="JSON config; flags override fields")
         p.add_argument("--out", metavar="DIR", help="output directory")
-    for p in (gen, fit, rep):
+    for p in (gen, rep):
         p.add_argument("--seed", metavar="INT")
     for p in (fit, ana):
         p.add_argument("--dataset", metavar="PATH", help="dataset CSV")

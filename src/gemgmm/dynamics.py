@@ -28,10 +28,12 @@ shifted-covariance EM increment,
     flatten(pb_gem_step(p, mo)) - flatten(p) = P(p, mo) . grad(p, mo)   (up to roundoff),
 
 is kept as :class:`Preconditioner`, :func:`build_preconditioner` and
-:func:`apply_projection`.  These are identities checked by the tests;
-they are not on the iteration path.  They and
-:func:`~gemgmm.engine.grad_log_likelihood` stay in the package only
-because the benchmark tracer (``perfbench/tracing.py``) names them.
+:func:`apply_projection` (proj).  These are identities checked by the
+tests, not the iteration path; :func:`apply_projection` is also the
+projection that :func:`~gemgmm.analysis.update_map_jacobian` probes
+along.  The preconditioner and :func:`~gemgmm.engine.grad_log_likelihood`
+stay in the package only because the benchmark tracer
+(``perfbench/tracing.py``) names them.
 
 :func:`_step_for` is the one place that turns an algorithm name (and a
 design, for ``w_pb_gem``) into its step; :func:`run` and
@@ -101,14 +103,15 @@ def build_preconditioner(params: GmmParams, moments: Moments) -> Preconditioner:
 
 
 def apply_projection(vec: np.ndarray, layout: VectorLayout) -> np.ndarray:
-    """Orthogonal projection onto feasible increment directions.
+    """Orthogonal projection onto the tangent space of the constraint set.
 
-    Identity on mean and covariance blocks; the weight block is centered
-    (``v - mean(v)``), i.e. projected onto the zero-sum subspace, so that
-    updated weights keep their sum unchanged.
+    The weight block is centered (``v - mean(v)``), onto the zero-sum
+    subspace, so updated weights keep their sum; each covariance block
+    ``V`` maps to ``0.5 * (V + V')``, onto the symmetric matrices; mean
+    blocks are unconstrained and pass unchanged.
     """
     w, mu, cv = layout.split(vec)
-    return layout.join(w - w.mean(), mu, cv)
+    return layout.join(w - w.mean(), mu, 0.5 * (cv + cv.transpose(0, 2, 1)))
 
 
 @dataclass(frozen=True)

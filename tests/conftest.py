@@ -11,7 +11,9 @@ surrogate that a GEM step increases), ``lmi_check`` (the rate LMI at
 one grid point) and ``scan_rate_certificate`` (the certificate by a scan
 of every row of mu) are oracles for the steps and the rate certificate;
 ``fd_update_map_jacobian`` (central differences with a full E-pass at
-every probe point) is the oracle for the update-map Jacobian, and
+every probe point, along ``probe_directions``, the projection
+``dynamics.apply_projection`` of each basis vector) is the oracle for
+the update-map Jacobian, and
 ``vec_epass_tangent`` (the tangent pass on g = (1, d, vec(d d'))) the
 oracle for the package's tangent pass on vech(d d').
 ``recorded_iterates`` collects the iterates of a run, and
@@ -26,7 +28,7 @@ import pytest
 
 from gemgmm import GmmParams, NumericUnderflowError, ValidationError, core, dynamics, e_step, io
 from gemgmm.analysis import (FD_STEP, GRID_RESOLUTION, LMI_TOL, RateCertificate, SectorBounds,
-                             _probe_directions, lmi_matrix)
+                             lmi_matrix)
 
 
 def make_params(rng, k, m, spread=2.0):
@@ -114,6 +116,12 @@ def dense(op, size):
     """Matrix of the linear map ``op`` on R^size, one column per
     standard basis vector."""
     return np.column_stack([op(e) for e in np.eye(size)])
+
+
+def probe_directions(layout):
+    """The probe directions of ``update_map_jacobian``, one per row: the
+    projection ``dynamics.apply_projection`` of each basis vector."""
+    return dense(lambda v: dynamics.apply_projection(v, layout), layout.size).T
 
 
 # (K, m, N) shapes on which the package kernels are checked against the
@@ -227,7 +235,7 @@ def fd_update_map_jacobian(params, data, algorithm, design=None):
 
     return np.column_stack([
         (mapped(base + FD_STEP * v) - mapped(base - FD_STEP * v)) / (2.0 * FD_STEP)
-        for v in _probe_directions(params.layout)])
+        for v in probe_directions(params.layout)])
 
 
 def vec_epass_tangent(params, xt):

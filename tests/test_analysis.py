@@ -21,11 +21,11 @@ from gemgmm import (
     update_map_jacobian,
 )
 
-from gemgmm.analysis import FD_STEP, _probe_directions
+from gemgmm.analysis import FD_STEP
 from gemgmm.core import _epass_tangent, _feature_major
 
 from conftest import (JACOBIAN_SHAPES, fd_update_map_jacobian, lmi_check, make_dataset, make_params,
-                      scan_rate_certificate)
+                      probe_directions, scan_rate_certificate)
 
 
 # -------------------------------------------------------------- rate bound
@@ -308,7 +308,7 @@ def test_jacobian_custom_map_gets_the_probe_moments(pb_gem_step_as):
     update_map_jacobian(p, x, "pb_gem")
     layout = p.layout
     base, tangent = _epass_tangent(p, _feature_major(x, 1))
-    directions = np.array(list(_probe_directions(layout)))
+    directions = probe_directions(layout)
     moved = directions @ tangent.T
     assert len(seen) == 2 * layout.size
     probes = itertools.product(range(layout.size), (1.0, -1.0))
@@ -345,7 +345,7 @@ def test_jacobian_matches_differences_over_full_epasses(k, m, algorithm, betas):
     "central differences of step FD_STEP through the K-sized step leave ~1e-10 of noise "
     "in J; J has a defective zero eigenvalue here, which that noise splits into a pair "
     "near 1e-7 (7.9e-8 forward, 1.8e-7 reversed); the chain-rule J in float64 puts it "
-    "near 1e-9, below the threshold"))
+    "at most 3.5e-16, below the threshold"))
 def test_jacobian_moduli_do_not_move_with_the_sample_order():
     # paper model at N=2e5: reversing the samples changes the E-pass sums
     # at roundoff, which must not show in any modulus above 1e-8

@@ -828,10 +828,12 @@ def test_bad_arguments_exit_code():
 
 
 def test_analyze_has_no_seed_flag(capsys):
-    # nothing in analyze reads a seed; generate, fit and replicate keep the flag
+    # nothing in analyze or fit reads a seed; generate and replicate keep the flag
     assert main(["analyze", "--seed", "5", "--trace", "t.csv"]) == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
-    for command in ("generate", "fit", "replicate"):
+    assert main(["fit", "--seed", "5", "--dataset", "d.csv"]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    for command in ("generate", "replicate"):
         assert build_parser().parse_args([command, "--seed", "5"]).seed == "5"
 
 

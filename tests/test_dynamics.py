@@ -155,9 +155,34 @@ def test_projection_matrix_symmetric_idempotent():
     mat = dense(lambda v: apply_projection(v, lay), lay.size)
     expected = np.eye(lay.size)
     expected[:3, :3] = np.eye(3) - np.full((3, 3), 1.0 / 3.0)  # the weight block
+    # each covariance block: the symmetrizer (I + swap) / 2, where swap
+    # exchanges V[1, 0] and V[0, 1] in the column-stacked vec(V)
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    for start in range(9, lay.size, 4):
+        expected[start:start + 4, start:start + 4] = 0.5 * (np.eye(4) + swap)
     assert np.allclose(mat, expected, rtol=0, atol=1e-15)
     assert np.array_equal(mat, mat.T)
     assert np.allclose(mat @ mat, mat, rtol=0, atol=1e-12)
+
+
+def test_projection_lands_on_the_tangent_space_and_keeps_feasible_directions():
+    # (K, m) = (3, 3): random vectors get zero-sum weights (to roundoff),
+    # exactly symmetric covariance blocks and unchanged means; a direction
+    # already feasible (weights summing to 0.0 exactly, symmetric
+    # covariance blocks) comes back bit for bit
+    lay = VectorLayout(3, 3)
+    rng = np.random.default_rng(107)
+    for _ in range(20):
+        v = rng.normal(size=lay.size)
+        w, mu, cv = lay.split(apply_projection(v, lay))
+        assert abs(w.sum()) <= 4.0 * np.finfo(float).eps * np.abs(v[:3]).sum()
+        assert np.array_equal(cv, cv.transpose(0, 2, 1))
+        assert np.array_equal(mu, lay.split(v)[1])
+        a, b = rng.normal(size=2)
+        sym = rng.normal(size=(3, 3, 3))
+        feasible = lay.join([a, b, -(a + b)], rng.normal(size=(3, 3)),
+                            sym + sym.transpose(0, 2, 1))
+        assert np.array_equal(apply_projection(feasible, lay), feasible)
 
 
 def test_projection_rejects_wrong_length():
