@@ -466,6 +466,6 @@ def sample(params: GmmParams, n: int, seed: int) -> np.ndarray:
     z = rng.standard_normal((n, m))
     x = np.empty((n, m))
     for j in range(k):
-        idx = labels == j
+        idx = np.flatnonzero(labels == j)
         x[idx] = params.means[j] + z[idx] @ params._chol[j].T
     return x

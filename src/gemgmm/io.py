@@ -3,17 +3,19 @@ copy of a dataset.
 
 All float output goes through ``repr``, the shortest round-tripping
 decimal form, so identical inputs produce byte-identical files; every
-CSV table is written by :func:`save_table`.
+CSV table is written by :func:`save_table`, which hashes its bytes as it
+writes them and returns their SHA-256 hex digest.
 
 :func:`save_dataset` also writes the samples with ``np.save`` to
-``<csv>.<sha256>.npy``, where ``sha256`` is the hex digest of the CSV's
-bytes.  Because ``repr`` round-trips, that copy holds bit for bit what
-parsing those bytes gives, so :func:`load_dataset` reads it instead of
-parsing when the CSV's digest names an existing copy, as hash-based
-``.pyc`` files skip recompiling a source whose hash they recorded; the
-read that hashes the CSV also counts its lines, which the copy's row
-count must match.  Any other CSV (written elsewhere, edited, or read
-with a header) is parsed; one with no copy beside it is not even hashed.
+``<csv>.<sha256>.npy``, where ``sha256`` is that digest of the CSV's
+bytes, so it never reads the CSV back.  Because ``repr`` round-trips,
+the copy holds bit for bit what parsing those bytes gives, so
+:func:`load_dataset` reads it instead of parsing when the CSV's digest
+names an existing copy, as hash-based ``.pyc`` files skip recompiling a
+source whose hash they recorded.  Only the reader hashes a CSV file and
+counts its lines, in one read; the copy's row count must match.  Any
+other CSV (written elsewhere, edited, or read with a header) is parsed;
+one with no copy beside it is not even hashed.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def load_json(path):
         raise ValidationError(f"file not found: {path}")
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValidationError(f"invalid JSON in {path}: {err}") from err
 
 
@@ -104,26 +106,49 @@ def load_params(path) -> GmmParams:
     return params_from_dict(load_json(path))
 
 
-def save_table(path, head, rows) -> None:
-    """CSV: the ``head`` lines, then one line per row of Python numbers
-    in ``repr`` form, turned into text ``CSV_CHUNK_ROWS`` rows at a time.
-
-    Every row must have as many entries as the first; a ragged row raises
-    ``ValidationError``.  Each chunk is one ``%``-format of a ``%r`` row
-    template repeated over the chunk's flattened entries, so a row of
-    another width would shift every entry after it.
-    """
+def _chunks(path, rows):
+    """The text of ``rows`` (see :func:`save_table`), ``CSV_CHUNK_ROWS``
+    rows at a time."""
+    if isinstance(rows, np.ndarray):
+        template = ",".join(["%r"] * rows.shape[1]) + "\n"
+        for start in range(0, rows.shape[0], CSV_CHUNK_ROWS):
+            chunk = rows[start:start + CSV_CHUNK_ROWS]
+            yield template * len(chunk) % tuple(chunk.ravel().tolist())
+        return
     rows = iter(rows)
     width = None
-    with open(path, "w") as fh:
-        fh.writelines(f"{line}\n" for line in head)
-        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-            if width is None:
-                width = len(chunk[0])
-                template = ",".join(["%r"] * width) + "\n"
-            if set(map(len, chunk)) != {width}:
-                raise ValidationError(f"table rows of {path} must all have {width} entries")
-            fh.write(template * len(chunk) % tuple(chain.from_iterable(chunk)))
+    while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+        if width is None:
+            width = len(chunk[0])
+            template = ",".join(["%r"] * width) + "\n"
+        if set(map(len, chunk)) != {width}:
+            raise ValidationError(f"table rows of {path} must all have {width} entries")
+        yield template * len(chunk) % tuple(chain.from_iterable(chunk))
+
+
+def save_table(path, head, rows) -> str:
+    """CSV: the ``head`` lines, then one line per row of numbers in
+    ``repr`` form, turned into text ``CSV_CHUNK_ROWS`` rows at a time;
+    returns the SHA-256 hex digest of the bytes written, each chunk
+    hashed as it is written.
+
+    ``rows`` is a 2-D float array (a dataset) or an iterable of rows of
+    Python numbers.  Each chunk is one ``%``-format of a ``%r`` row
+    template repeated over the chunk's flattened entries: an array
+    chunk's ``ravel().tolist()``, so no per-row lists are built.  Every
+    row of an iterable must have as many entries as the first, since a
+    row of another width would shift every entry after it; a ragged row
+    raises ``ValidationError``.
+    """
+    import hashlib  # on first use: importing gemgmm does not need it
+
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in chain(["".join(f"{line}\n" for line in head)], _chunks(path, rows)):
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def _load_csv(path, kind: str, skiprows: int) -> np.ndarray:
@@ -143,10 +168,15 @@ def _copies(path: Path) -> list[Path]:
     return list(path.parent.glob(f"{glob.escape(path.name)}.{'[0-9a-f]' * 64}.npy"))
 
 
+def _copy_name(path: Path, digest: str) -> Path:
+    """``<path>.<digest>.npy``: the binary copy of CSV bytes whose SHA-256
+    hex digest is ``digest``."""
+    return path.with_name(f"{path.name}.{digest}.npy")
+
+
 def _binary_copy(path: Path) -> tuple[Path, int]:
-    """The name of the binary copy of the CSV at ``path``,
-    ``<path>.<sha256 of its bytes>.npy``, and the number of newlines in
-    those bytes; the file is read in ``HASH_BLOCK`` blocks."""
+    """The name of the binary copy of the CSV at ``path`` and the number
+    of newlines in its bytes; the file is read in ``HASH_BLOCK`` blocks."""
     import hashlib  # on first use: importing gemgmm does not need it
 
     digest, newlines = hashlib.sha256(), 0
@@ -154,12 +184,14 @@ def _binary_copy(path: Path) -> tuple[Path, int]:
         while block := fh.read(HASH_BLOCK):
             digest.update(block)
             newlines += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
-    return path.with_name(f"{path.name}.{digest.hexdigest()}.npy"), newlines
+    return _copy_name(path, digest.hexdigest()), newlines
 
 
 def save_dataset(path, data: np.ndarray) -> None:
     """CSV, one sample per row, no header; then the binary copy of the
-    samples that :func:`load_dataset` reads in place of these bytes.
+    samples that :func:`load_dataset` reads in place of these bytes,
+    named by the digest :func:`save_table` returns, so the CSV is not
+    read back.
 
     The copy is stored in Fortran order, so the loaded (N, m) array's
     transpose is the C-contiguous (m, N) layout that the E-pass reads
@@ -172,9 +204,7 @@ def save_dataset(path, data: np.ndarray) -> None:
     x = as_dataset(data)
     for stale in _copies(path):
         stale.unlink(missing_ok=True)
-    save_table(path, [], (row for start in range(0, x.shape[0], CSV_CHUNK_ROWS)
-                          for row in x[start:start + CSV_CHUNK_ROWS].tolist()))
-    copy = _binary_copy(path)[0]
+    copy = _copy_name(path, save_table(path, [], x))
     tmp = copy.with_name(f"{copy.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:

@@ -16,6 +16,8 @@ every probe point, along ``probe_directions``, the projection
 the update-map Jacobian, and
 ``vec_epass_tangent`` (the tangent pass on g = (1, d, vec(d d'))) the
 oracle for the package's tangent pass on vech(d d').
+``mask_sample`` is ``core.sample`` scattering through boolean masks,
+the oracle for its integer-index scatter.
 ``recorded_iterates`` collects the iterates of a run, and
 ``pb_gem_step_as`` puts a fake step in place of ``pb_gem_step``.
 """
@@ -45,6 +47,19 @@ def make_params(rng, k, m, spread=2.0):
 
 def make_dataset(rng, n, m, spread=2.0):
     return rng.normal(0.0, spread, size=(n, m))
+
+
+def mask_sample(params, n, seed):
+    """``core.sample``'s draws, each component's rows picked by a boolean
+    mask: the labels, then one standard-normal block."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(params.n_components, size=n, p=params.weights)
+    z = rng.standard_normal((n, params.n_features))
+    x = np.empty((n, params.n_features))
+    for j in range(params.n_components):
+        mask = labels == j
+        x[mask] = params.means[j] + z[mask] @ params._chol[j].T
+    return x
 
 
 def naive_component_density(weight, mean, cov, x):

@@ -844,6 +844,16 @@ def test_bad_config_file(tmp_path):
     assert main(["generate", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+def test_json_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00x")
+    dataset = make_dataset_file(tmp_path)
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(bad)]) == 2                 # the config
+    assert main(["analyze", str(bad), "--dataset", dataset]) == 2       # the parameters
+    assert capsys.readouterr().err.count(f"error: invalid JSON in {bad}: ") == 2
+
+
 def test_config_must_be_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

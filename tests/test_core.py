@@ -34,6 +34,7 @@ from conftest import (
     ORACLE_SHAPES,
     make_dataset,
     make_params,
+    mask_sample,
     naive_component_density,
     naive_loglik,
     naive_responsibilities,
@@ -578,6 +579,20 @@ def test_sample_deterministic_per_seed():
     c = sample(p, 100, 43)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize(("weights", "empty"), [
+    ([1.0], []), ([0.3, 0.7], []), ([0.2, 0.5, 0.3], []),
+    ([0.5, 1e-12, 0.5 - 1e-12], [1]),
+], ids=["K1", "K2", "K3", "K3_one_draws_none"])
+def test_sample_equals_the_boolean_mask_scatter(weights, empty):
+    k = len(weights)
+    p = make_params(np.random.default_rng(1291 + k), k, 3)
+    p = GmmParams(weights, p.means, p.covs)
+    n, seed = 1000, 8317
+    labels = np.random.default_rng(seed).choice(k, size=n, p=p.weights)
+    assert np.flatnonzero(np.bincount(labels, minlength=k) == 0).tolist() == empty
+    assert sample(p, n, seed).tobytes() == mask_sample(p, n, seed).tobytes()
 
 
 def test_sample_mixture_mean_near_zero():

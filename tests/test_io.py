@@ -162,9 +162,13 @@ def test_load_dataset_rejects_garbage(tmp_path):
 
 # ------------------------------------------------------------- binary copy
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def binary_copy(path):
     """The copy ``save_dataset`` writes next to the CSV at ``path``."""
-    return path.with_name(f"{path.name}.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy")
+    return path.with_name(f"{path.name}.{sha256(path)}.npy")
 
 
 def never_parse(monkeypatch):
@@ -313,6 +317,41 @@ def test_table_bytes_are_the_repr_of_each_entry(tmp_path):
     io.save_table(path, ["# note", "a,b,c"], iter(rows))
     assert path.read_text() == "# note\na,b,c\n" + "".join(
         ",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def test_table_returns_the_digest_of_the_bytes_it_wrote(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [(0, 1.5, float("nan")), (1, -0.0, 1e-300), (2, 0.1 + 0.2, float("-inf"))]
+    assert io.save_table(path, ["# note", "a,b,c"], rows) == sha256(path)
+    # an array spanning two chunk edges
+    x = np.random.default_rng(317).normal(size=(2 * CSV_CHUNK_ROWS + 3, 2))
+    assert io.save_table(path, [], x) == sha256(path)
+
+
+def test_save_dataset_names_the_copy_without_reading_the_csv_back(tmp_path, monkeypatch):
+    def read_back(*args):
+        raise AssertionError("the CSV was read back")
+    monkeypatch.setattr(io, "_binary_copy", read_back)
+    path = tmp_path / "d.csv"
+    x = np.random.default_rng(331).normal(size=(CSV_CHUNK_ROWS + 1, 2))
+    save_dataset(path, x)
+    assert np.load(binary_copy(path)).tobytes() == x.tobytes()
+
+
+AWKWARD = [-0.0, 1e-300, 1e16, 0.1 + 0.2, 5e-324, -2.5]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_array_and_row_input_give_the_same_bytes(tmp_path, m, n, order):
+    rng = np.random.default_rng(337 + n + m)
+    values = rng.normal(size=n * m) * 10.0 ** rng.integers(-30, 30, size=n * m)
+    values[::2] = np.resize(AWKWARD, values[::2].size)   # every awkward value where they fit
+    x = np.asarray(values.reshape(n, m), order=order)
+    as_array, as_rows = tmp_path / "array.csv", tmp_path / "rows.csv"
+    assert io.save_table(as_array, [], x) == io.save_table(as_rows, [], x.tolist())
+    assert as_array.read_bytes() == as_rows.read_bytes()
 
 
 @pytest.mark.parametrize("rows", [
