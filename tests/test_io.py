@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gemgmm
 from gemgmm import GmmParams, ValidationError, core, io, run, sample
 from gemgmm.io import (
     CSV_CHUNK_ROWS,
@@ -340,18 +346,119 @@ def test_save_dataset_names_the_copy_without_reading_the_csv_back(tmp_path, monk
 
 AWKWARD = [-0.0, 1e-300, 1e16, 0.1 + 0.2, 5e-324, -2.5]
 
+# Six chunks: split into three shares of two chunks on three CPUs.
+SHARED_N = 5 * CSV_CHUNK_ROWS + 7
+
+
+def counted_forks(monkeypatch):
+    """The row counts of the shares ``save_table`` forks a child for."""
+    forked, fork = [], io._fork
+
+    def counting(path, rows):
+        forked.append(rows.shape[0])
+        return fork(path, rows)
+    monkeypatch.setattr(io, "_fork", counting)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3])
+@pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3,
+                               SHARED_N])
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_array_and_row_input_give_the_same_bytes(tmp_path, m, n, order):
+def test_array_and_row_input_give_the_same_bytes(tmp_path, monkeypatch, m, n, order):
     rng = np.random.default_rng(337 + n + m)
     values = rng.normal(size=n * m) * 10.0 ** rng.integers(-30, 30, size=n * m)
     values[::2] = np.resize(AWKWARD, values[::2].size)   # every awkward value where they fit
     x = np.asarray(values.reshape(n, m), order=order)
-    as_array, as_rows = tmp_path / "array.csv", tmp_path / "rows.csv"
-    assert io.save_table(as_array, [], x) == io.save_table(as_rows, [], x.tolist())
-    assert as_array.read_bytes() == as_rows.read_bytes()
+    as_rows = tmp_path / "rows.csv"
+    digest = io.save_table(as_rows, [], x.tolist())
+    forked = counted_forks(monkeypatch)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(io, "_cpus", lambda: cpus)
+        forked.clear()
+        as_array = tmp_path / f"array-{cpus}.csv"
+        assert io.save_table(as_array, [], x) == digest
+        assert as_array.read_bytes() == as_rows.read_bytes()
+        assert_no_child_left()
+        if n <= CSV_CHUNK_ROWS or cpus == 1:
+            assert not forked
+        if n == SHARED_N:
+            assert len(forked) == cpus - 1
+
+
+def shared_data(marked_row=None):
+    x = np.random.default_rng(341).normal(size=(SHARED_N, 2))
+    if marked_row is not None:
+        x[marked_row, 0] = 123.0
+    return x
+
+
+def failing_on_the_mark(monkeypatch, then_in_a_child=None):
+    """Makes the formatter raise on a share that holds the entry 123.0;
+    ``then_in_a_child`` runs in each child before it formats."""
+    chunks, parent = io._chunks, os.getpid()
+
+    def failing(path, rows):
+        if isinstance(rows, np.ndarray) and (rows == 123.0).any():
+            raise RuntimeError("the marked row")
+        if then_in_a_child is not None and os.getpid() != parent:
+            then_in_a_child()
+        yield from chunks(path, rows)
+    monkeypatch.setattr(io, "_chunks", failing)
+
+
+def test_no_child_outlives_a_dataset_save(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_cpus", lambda: 3)
+    forked = counted_forks(monkeypatch)
+    path, x = tmp_path / "d.csv", shared_data()
+    save_dataset(path, x)
+    assert forked
+    assert_no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", binary_copy(path).name]
+    assert np.load(binary_copy(path)).tobytes() == x.tobytes()
+
+
+def test_a_failing_child_raises_and_no_copy_is_written(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    save_dataset(path, shared_data())      # a copy that the failed save must remove
+    monkeypatch.setattr(io, "_cpus", lambda: 3)
+    failing_on_the_mark(monkeypatch)
+    # row 5 * 4096 lies in the last share, rows 16384 to 20486
+    with pytest.raises(OSError, match="rows 16384 to 20486 .* exited with status 1"):
+        save_dataset(path, shared_data(marked_row=5 * CSV_CHUNK_ROWS))
+    assert_no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+def test_a_failure_in_this_process_kills_and_reaps_every_child(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_cpus", lambda: 3)
+    # each child would format for a minute unless it is killed
+    failing_on_the_mark(monkeypatch, then_in_a_child=lambda: time.sleep(60.0))
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="the marked row"):
+        io.save_table(tmp_path / "t.csv", [], shared_data(marked_row=7))
+    assert time.monotonic() - t0 < 30.0
+    assert_no_child_left()
+
+
+def test_importing_gemgmm_loads_no_hashing_or_process_module():
+    # What gemgmm adds to what numpy loads: the interpreter's site hooks or
+    # numpy itself (importlib.resources, numpy 2) may import tempfile.
+    code = ("import sys, numpy; before = set(sys.modules); import gemgmm; "
+            "print(sorted({'hashlib', 'multiprocessing', 'tempfile', 'concurrent.futures'}"
+            " & (set(sys.modules) - before)))")
+    package_root = str(Path(gemgmm.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("rows", [
