@@ -372,7 +372,7 @@ def cmd_replicate(config: ExperimentConfig) -> dict:
         "# per-iteration negative log-likelihood aggregated across replicate instances",
         "# runs shorter than the longest run are padded by repeating their terminal value",
         ",".join(header),
-    ], zip(range(n_rows), *(col.tolist() for col in columns)))
+    ], np.column_stack([np.arange(n_rows), *columns]), "%d" + ",%r" * len(columns))
     if config.plot:
         paths["plot"] = _write_plot(out / "replicate.svg", curves,
                                     "replicated negative log-likelihood (mean +/- std)", config)

@@ -2,9 +2,11 @@
 copy of a dataset.
 
 All float output goes through ``repr``, the shortest round-tripping
-decimal form, so identical inputs produce byte-identical files; every
-CSV table is written by :func:`save_table`, which hashes its bytes as it
-writes them and returns their SHA-256 hex digest.  A dataset large
+decimal form, so identical inputs produce byte-identical files.  Every
+CSV table is written by ``save_table(path, head, table, row)``: a 2-D
+float array formatted through the ``%`` template ``row`` of one line
+(``%r`` per float, ``%d`` for an integer column), its bytes hashed as
+they are written and their SHA-256 hex digest returned.  A table large
 enough to pay for a fork is formatted on every CPU the process may run
 on: one forked child per contiguous share of whole chunks writes its
 text to an unnamed temporary file, which the parent reads back in row
@@ -28,7 +30,7 @@ from __future__ import annotations
 import glob
 import json
 import os
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +43,8 @@ TRACE_HEADER = "iter,loglik,step_norm"
 
 PARAM_KEYS = ("K", "m", "alpha", "mu", "sigma")
 
-# Rows turned into text (dataset rows: into Python floats) per write:
-# bounds the Python numbers and strings alive at once, whatever N is.
+# Rows of a save_table array turned into Python floats, then text, per
+# write: bounds the Python numbers and strings alive at once, whatever N is.
 CSV_CHUNK_ROWS = 4096
 
 # Bytes read per block when hashing a dataset CSV or reading back a
@@ -119,24 +121,13 @@ def load_params(path) -> GmmParams:
     return params_from_dict(load_json(path))
 
 
-def _chunks(path, rows):
-    """The text of ``rows`` (see :func:`save_table`), ``CSV_CHUNK_ROWS``
+def _chunks(table, row):
+    """The text of ``table`` (see :func:`save_table`), ``CSV_CHUNK_ROWS``
     rows at a time."""
-    if isinstance(rows, np.ndarray):
-        template = ",".join(["%r"] * rows.shape[1]) + "\n"
-        for start in range(0, rows.shape[0], CSV_CHUNK_ROWS):
-            chunk = rows[start:start + CSV_CHUNK_ROWS]
-            yield template * len(chunk) % tuple(chunk.ravel().tolist())
-        return
-    rows = iter(rows)
-    width = None
-    while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-        if width is None:
-            width = len(chunk[0])
-            template = ",".join(["%r"] * width) + "\n"
-        if set(map(len, chunk)) != {width}:
-            raise ValidationError(f"table rows of {path} must all have {width} entries")
-        yield template * len(chunk) % tuple(chain.from_iterable(chunk))
+    template = row + "\n"
+    for start in range(0, table.shape[0], CSV_CHUNK_ROWS):
+        chunk = table[start:start + CSV_CHUNK_ROWS]
+        yield template * len(chunk) % tuple(chunk.ravel().tolist())
 
 
 def _cpus() -> int:
@@ -148,21 +139,18 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _shares(rows) -> list[tuple[int, object]]:
-    """``rows`` cut into ``(first row, rows)`` shares, one per process
-    that formats them: an array into at most one contiguous share of
-    whole chunks per CPU, each at least ``SHARE_MIN_CHUNKS`` chunks;
-    rows of any other kind into the one share ``(0, rows)``."""
-    if not isinstance(rows, np.ndarray):
-        return [(0, rows)]
-    chunks = -(-rows.shape[0] // CSV_CHUNK_ROWS)
+def _shares(table) -> list[tuple[int, np.ndarray]]:
+    """``table`` cut into ``(first row, rows)`` shares, one per process
+    that formats them: at most one contiguous share of whole chunks per
+    CPU, each at least ``SHARE_MIN_CHUNKS`` chunks."""
+    chunks = -(-table.shape[0] // CSV_CHUNK_ROWS)
     p = max(1, min(_cpus(), chunks // SHARE_MIN_CHUNKS))
-    edges = [chunks * i // p * CSV_CHUNK_ROWS for i in range(p)] + [rows.shape[0]]
-    return [(lo, rows[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    edges = [chunks * i // p * CSV_CHUNK_ROWS for i in range(p)] + [table.shape[0]]
+    return [(lo, table[lo:hi]) for lo, hi in zip(edges, edges[1:])]
 
 
-def _fork(path, rows) -> tuple[int, object]:
-    """Starts a child process that writes the text of ``rows`` (from
+def _fork(path, table, row) -> tuple[int, object]:
+    """Starts a child process that writes the text of ``table`` (from
     :func:`_chunks`) to an unnamed temporary file in the directory of
     ``path`` and leaves through ``os._exit``: status 0 once the text is
     flushed, 1 if anything raised.  Returns the child's pid and the file,
@@ -179,7 +167,7 @@ def _fork(path, rows) -> tuple[int, object]:
         return pid, spool
     status = 1
     try:
-        for text in _chunks(path, rows):
+        for text in _chunks(table, row):
             spool.write(text.encode())
         spool.flush()
         status = 0
@@ -210,21 +198,19 @@ def _spooled(path, children: list):
                 yield block
 
 
-def save_table(path, head, rows) -> str:
-    """CSV: the ``head`` lines, then one line per row of numbers in
-    ``repr`` form, turned into text ``CSV_CHUNK_ROWS`` rows at a time;
+def save_table(path, head, table, row) -> str:
+    """CSV: the ``head`` lines, then one line per row of the 2-D float
+    array ``table``, turned into text ``CSV_CHUNK_ROWS`` rows at a time;
     returns the SHA-256 hex digest of the bytes written, each chunk
     hashed as it is written.
 
-    ``rows`` is a 2-D float array (a dataset) or an iterable of rows of
-    Python numbers.  Each chunk is one ``%``-format of a ``%r`` row
-    template repeated over the chunk's flattened entries: an array
-    chunk's ``ravel().tolist()``, so no per-row lists are built.  Every
-    row of an iterable must have as many entries as the first, since a
-    row of another width would shift every entry after it; a ragged row
-    raises ``ValidationError``.
+    ``row`` is the ``%`` template of one line, without its newline:
+    ``%r`` for a float in ``repr`` form, ``%d`` for a column of integral
+    floats written as integers (an iteration count).  Each chunk is one
+    ``%``-format of that template repeated over the chunk's
+    ``ravel().tolist()``, so no per-row lists are built.
 
-    An array of at least twice ``SHARE_MIN_CHUNKS`` chunks is formatted
+    A table of at least twice ``SHARE_MIN_CHUNKS`` chunks is formatted
     on every CPU this process may run on (:func:`_shares`): one child is
     forked per share after the first (:func:`_fork`) while this process
     formats, hashes and writes the first; then each child is reaped and
@@ -237,13 +223,13 @@ def save_table(path, head, rows) -> str:
     import hashlib  # on first use: importing gemgmm does not need it
 
     digest = hashlib.sha256()
-    (_, own), *shares = _shares(rows)
+    (_, own), *shares = _shares(table)
     children = []
     try:
         for start, share in shares:
-            children.append((start, share.shape[0], *_fork(path, share)))
+            children.append((start, share.shape[0], *_fork(path, share, row)))
         with open(path, "wb") as fh:
-            texts = chain(["".join(f"{line}\n" for line in head)], _chunks(path, own))
+            texts = chain(["".join(f"{line}\n" for line in head)], _chunks(own, row))
             for data in chain((text.encode() for text in texts), _spooled(path, children)):
                 digest.update(data)
                 fh.write(data)
@@ -310,7 +296,7 @@ def save_dataset(path, data: np.ndarray) -> None:
     x = as_dataset(data)
     for stale in _copies(path):
         stale.unlink(missing_ok=True)
-    copy = _copy_name(path, save_table(path, [], x))
+    copy = _copy_name(path, save_table(path, [], x, ",".join(["%r"] * x.shape[1])))
     tmp = copy.with_name(f"{copy.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -349,7 +335,8 @@ def load_dataset(path, header: bool = False) -> np.ndarray:
 def save_trace_csv(path, trace: RunTrace) -> None:
     """One row per record, its fields in TRACE_HEADER order."""
     save_table(path, [TRACE_HEADER],
-               ((r.iteration, float(r.loglik), float(r.step_norm)) for r in trace.records))
+               np.array([(r.iteration, r.loglik, r.step_norm) for r in trace.records]),
+               "%d,%r,%r")
 
 
 def load_trace_csv(path) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gemgmm
-from gemgmm import GmmParams, ValidationError, core, io, run, sample
+from gemgmm import GmmParams, RunTrace, TraceRecord, ValidationError, core, io, run, sample
 from gemgmm.io import (
     CSV_CHUNK_ROWS,
     TRACE_HEADER,
@@ -320,7 +320,7 @@ def test_missing_dataset_with_a_copy_beside_it_is_not_found(tmp_path):
 def test_table_bytes_are_the_repr_of_each_entry(tmp_path):
     rows = [(0, 1.5, float("nan")), (1, -0.0, 1e-300), (2, 0.1 + 0.2, float("-inf"))]
     path = tmp_path / "t.csv"
-    io.save_table(path, ["# note", "a,b,c"], iter(rows))
+    io.save_table(path, ["# note", "a,b,c"], np.array(rows), "%d,%r,%r")
     assert path.read_text() == "# note\na,b,c\n" + "".join(
         ",".join(map(repr, row)) + "\n" for row in rows)
 
@@ -328,10 +328,10 @@ def test_table_bytes_are_the_repr_of_each_entry(tmp_path):
 def test_table_returns_the_digest_of_the_bytes_it_wrote(tmp_path):
     path = tmp_path / "t.csv"
     rows = [(0, 1.5, float("nan")), (1, -0.0, 1e-300), (2, 0.1 + 0.2, float("-inf"))]
-    assert io.save_table(path, ["# note", "a,b,c"], rows) == sha256(path)
+    assert io.save_table(path, ["# note", "a,b,c"], np.array(rows), "%d,%r,%r") == sha256(path)
     # an array spanning two chunk edges
     x = np.random.default_rng(317).normal(size=(2 * CSV_CHUNK_ROWS + 3, 2))
-    assert io.save_table(path, [], x) == sha256(path)
+    assert io.save_table(path, [], x, "%r,%r") == sha256(path)
 
 
 def test_save_dataset_names_the_copy_without_reading_the_csv_back(tmp_path, monkeypatch):
@@ -354,9 +354,9 @@ def counted_forks(monkeypatch):
     """The row counts of the shares ``save_table`` forks a child for."""
     forked, fork = [], io._fork
 
-    def counting(path, rows):
-        forked.append(rows.shape[0])
-        return fork(path, rows)
+    def counting(path, table, row):
+        forked.append(table.shape[0])
+        return fork(path, table, row)
     monkeypatch.setattr(io, "_fork", counting)
     return forked
 
@@ -375,15 +375,16 @@ def test_array_and_row_input_give_the_same_bytes(tmp_path, monkeypatch, m, n, or
     values = rng.normal(size=n * m) * 10.0 ** rng.integers(-30, 30, size=n * m)
     values[::2] = np.resize(AWKWARD, values[::2].size)   # every awkward value where they fit
     x = np.asarray(values.reshape(n, m), order=order)
-    as_rows = tmp_path / "rows.csv"
-    digest = io.save_table(as_rows, [], x.tolist())
+    # the oracle: each row of Python floats joined by hand
+    text = "".join(",".join(map(repr, r)) + "\n" for r in x.tolist()).encode()
+    digest = hashlib.sha256(text).hexdigest()
     forked = counted_forks(monkeypatch)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(io, "_cpus", lambda: cpus)
         forked.clear()
         as_array = tmp_path / f"array-{cpus}.csv"
-        assert io.save_table(as_array, [], x) == digest
-        assert as_array.read_bytes() == as_rows.read_bytes()
+        assert io.save_table(as_array, [], x, ",".join(["%r"] * m)) == digest
+        assert as_array.read_bytes() == text
         assert_no_child_left()
         if n <= CSV_CHUNK_ROWS or cpus == 1:
             assert not forked
@@ -403,12 +404,12 @@ def failing_on_the_mark(monkeypatch, then_in_a_child=None):
     ``then_in_a_child`` runs in each child before it formats."""
     chunks, parent = io._chunks, os.getpid()
 
-    def failing(path, rows):
-        if isinstance(rows, np.ndarray) and (rows == 123.0).any():
+    def failing(table, row):
+        if (table == 123.0).any():
             raise RuntimeError("the marked row")
         if then_in_a_child is not None and os.getpid() != parent:
             then_in_a_child()
-        yield from chunks(path, rows)
+        yield from chunks(table, row)
     monkeypatch.setattr(io, "_chunks", failing)
 
 
@@ -441,7 +442,7 @@ def test_a_failure_in_this_process_kills_and_reaps_every_child(tmp_path, monkeyp
     failing_on_the_mark(monkeypatch, then_in_a_child=lambda: time.sleep(60.0))
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="the marked row"):
-        io.save_table(tmp_path / "t.csv", [], shared_data(marked_row=7))
+        io.save_table(tmp_path / "t.csv", [], shared_data(marked_row=7), "%r,%r")
     assert time.monotonic() - t0 < 30.0
     assert_no_child_left()
 
@@ -459,15 +460,6 @@ def test_importing_gemgmm_loads_no_hashing_or_process_module():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize("rows", [
-    [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)],      # the widths add up to whole rows
-    [(1.0, 2.0)] * CSV_CHUNK_ROWS + [(3.0,)],     # the ragged row opens a later chunk
-], ids=["same_chunk", "next_chunk"])
-def test_ragged_table_raises(tmp_path, rows):
-    with pytest.raises(ValidationError, match="2 entries"):
-        io.save_table(tmp_path / "t.csv", [], rows)
 
 
 # ------------------------------------------------------------------- trace
@@ -497,6 +489,52 @@ def test_trace_csv_bytes_deterministic(tmp_path, trace):
     save_trace_csv(a, trace)
     save_trace_csv(b, trace)
     assert a.read_bytes() == b.read_bytes()
+
+
+def hand_built_trace(iterations, logliks, step_norms):
+    records = [TraceRecord(*r) for r in zip(iterations, logliks, step_norms)]
+    return RunTrace(records, "max_iters", GmmParams([1.0], [[0.0]], [[[1.0]]]), "em")
+
+
+def trace_text(trace):
+    """The oracle: iterations as ``repr(int)``, the other fields as ``repr(float)``."""
+    return TRACE_HEADER + "\n" + "".join(
+        f"{r.iteration},{r.loglik!r},{r.step_norm!r}\n" for r in trace.records)
+
+
+def test_trace_csv_bytes_are_integer_iterations_and_float_reprs(tmp_path):
+    # loadtxt parses "3" and "3.0" alike, so only the text shows the %d
+    trace = hand_built_trace([0, 1, 10**6, 2**53 - 1],
+                             [-0.0, 5e-324, 1e16, float("nan")],
+                             [0.1 + 0.2, float("inf"), -2.5, 1e-300])
+    path = tmp_path / "trace.csv"
+    save_trace_csv(path, trace)
+    assert path.read_text() == trace_text(trace)
+    assert path.read_text().splitlines()[-1] == "9007199254740991,nan,1e-300"
+
+
+def test_a_long_trace_is_formatted_on_every_cpu(tmp_path, monkeypatch):
+    rng = np.random.default_rng(347)
+    trace = hand_built_trace(range(SHARED_N), np.resize(AWKWARD + [float("nan"), float("inf")],
+                                                        SHARED_N).tolist(),
+                             rng.normal(size=SHARED_N).tolist())
+    text = trace_text(trace).encode()
+    digests, save_table = [], io.save_table
+
+    def keeping_the_digest(*args):
+        digests.append(save_table(*args))
+        return digests[-1]
+    monkeypatch.setattr(io, "save_table", keeping_the_digest)
+    forked = counted_forks(monkeypatch)
+    for cpus in (1, 3):
+        monkeypatch.setattr(io, "_cpus", lambda: cpus)
+        forked.clear()
+        path = tmp_path / f"trace-{cpus}.csv"
+        save_trace_csv(path, trace)
+        assert len(forked) == cpus - 1
+        assert_no_child_left()
+        # digests, not texts: a failing assertion then prints no 600 kB diff
+        assert digests[-1] == sha256(path) == hashlib.sha256(text).hexdigest()
 
 
 def test_load_trace_checks_column_count(tmp_path):
