@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dynamics import ALGORITHMS
+from .dynamics import ALGORITHMS, DEFAULT_MAX_ITERS, DEFAULT_TOL
 from .errors import NumericalError, ValidationError
 from .experiments import ExperimentConfig, cmd_analyze, cmd_fit, cmd_generate, cmd_replicate
 from .io import load_json
@@ -58,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-component mean step factors (w-pb-gem)")
     for p in (fit, rep):
         p.add_argument("--tol", metavar="FLOAT",
-                       help="relative log-likelihood tolerance (default 1e-10)")
-        p.add_argument("--max-iters", metavar="INT", help="default 10000")
+                       help=f"relative log-likelihood tolerance (default {DEFAULT_TOL:g})")
+        p.add_argument("--max-iters", metavar="INT", help=f"default {DEFAULT_MAX_ITERS}")
         p.add_argument("--plot", action="store_true", default=None)
         p.add_argument("--inset", type=lambda text: text.split(":"), metavar="A:B",
                        help="iteration window for the plot inset")

@@ -58,6 +58,11 @@ from .errors import NumericalError, StepFailure, ValidationError
 
 ALGORITHMS = ("em", "pb_gem", "w_pb_gem")
 
+# run's stopping rule unless told otherwise: the relative log-likelihood
+# change below which a run has converged, and the most steps it takes.
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITERS = 10_000
+
 
 @dataclass(frozen=True, eq=False)
 class Preconditioner:
@@ -233,8 +238,8 @@ def _step_norm(new: GmmParams, cur: GmmParams) -> float:
 
 
 def run(params: GmmParams, data: np.ndarray, algorithm: str, *,
-        design: MeanStepWeights | None = None, rel_ll_tol: float = 1e-10,
-        max_iters: int = 10_000) -> RunTrace:
+        design: MeanStepWeights | None = None, rel_ll_tol: float = DEFAULT_TOL,
+        max_iters: int = DEFAULT_MAX_ITERS) -> RunTrace:
     """Iterate one of the update maps until the relative change of the
     log-likelihood drops below ``rel_ll_tol`` or ``max_iters`` is hit.
 

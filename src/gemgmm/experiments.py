@@ -21,12 +21,11 @@ from . import io
 from .analysis import (FD_STEP, GRID_RESOLUTION, SectorBounds, empirical_rate, rate_bound,
                        rate_certificate, update_map_jacobian)
 from .core import GmmParams, sample
-from .dynamics import ALGORITHMS, MeanStepWeights, RunTrace, _step_for, run
+from .dynamics import (ALGORITHMS, DEFAULT_MAX_ITERS, DEFAULT_TOL, MeanStepWeights, RunTrace,
+                       _step_for, run)
 from .errors import NumericalError, StepFailure, ValidationError
 from .svgplot import line_plot
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITERS = 10_000
 DEFAULT_BETA = 0.996
 
 # What a value given for a field of each annotation must be.  An int or

@@ -13,6 +13,12 @@ text to an unnamed temporary file, which the parent reads back in row
 order through the same hash, so the bytes and the digest are those of
 one process.
 
+Every file is written one way (:func:`_replaced`): under the temporary
+name ``<name>.<pid>.tmp`` beside it, moved onto its name with
+``os.replace`` only once it is complete, and unlinked otherwise.  A
+write that fails leaves the file as it was, or absent: never part of
+a CSV that would load as a shorter dataset.
+
 :func:`save_dataset` also writes the samples with ``np.save`` to
 ``<csv>.<sha256>.npy``, where ``sha256`` is that digest of the CSV's
 bytes, so it never reads the CSV back.  Because ``repr`` round-trips,
@@ -30,6 +36,8 @@ from __future__ import annotations
 import glob
 import json
 import os
+import warnings
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -58,6 +66,23 @@ HASH_BLOCK = 1 << 20
 # m = 2), two shares of two chunks faster (10.8 -> 8.3 ms, 21.8 -> 18.0 ms);
 # a fork, reap and read-back costs ~3 ms, about one chunk's formatting.
 SHARE_MIN_CHUNKS = 2
+
+
+@contextmanager
+def _replaced(path):
+    """A new binary file ``<path>.<pid>.tmp`` in the directory of ``path``,
+    moved onto ``path`` with ``os.replace`` once the ``with`` body has
+    completed; if it raises, the file is unlinked and ``path`` keeps
+    what it held, or stays absent.  Every file this module writes goes
+    through here, so a reader never sees part of one."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def params_to_dict(params: GmmParams) -> dict:
@@ -100,7 +125,10 @@ def params_from_dict(spec: dict) -> GmmParams:
 
 
 def save_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """``obj`` as JSON, keys sorted, indented by two spaces, one trailing
+    newline; written into place by :func:`_replaced`."""
+    with _replaced(path) as fh:
+        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_json(path):
@@ -180,24 +208,6 @@ def _fork(path, table, row) -> tuple[int, object]:
         os._exit(status)
 
 
-def _spooled(path, children: list):
-    """The text of each child in ``children`` (``(first row, row count,
-    pid, file)``, in row order), in ``HASH_BLOCK`` blocks: each child is
-    reaped and taken off the list before its file is read, and one that
-    did not exit 0 raises ``OSError`` naming its rows and status."""
-    while children:
-        start, count, pid, spool = children[0]
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        del children[0]
-        with spool:
-            if status:
-                raise OSError(f"the child process formatting rows {start} to {start + count - 1} "
-                              f"of {path} exited with status {status}")
-            spool.seek(0)
-            while block := spool.read(HASH_BLOCK):
-                yield block
-
-
 def save_table(path, head, table, row) -> str:
     """CSV: the ``head`` lines, then one line per row of the 2-D float
     array ``table``, turned into text ``CSV_CHUNK_ROWS`` rows at a time;
@@ -218,7 +228,8 @@ def save_table(path, head, table, row) -> str:
     CSV, so the bytes and the digest do not depend on the number of
     CPUs.  A child that fails raises ``OSError`` here.  If anything
     raises, every child not yet reaped is killed and reaped, so no
-    process outlives this call.  No thread is started on either side.
+    process outlives this call, and ``path`` keeps what it held
+    (:func:`_replaced`).  No thread is started on either side.
     """
     import hashlib  # on first use: importing gemgmm does not need it
 
@@ -228,11 +239,24 @@ def save_table(path, head, table, row) -> str:
     try:
         for start, share in shares:
             children.append((start, share.shape[0], *_fork(path, share, row)))
-        with open(path, "wb") as fh:
-            texts = chain(["".join(f"{line}\n" for line in head)], _chunks(own, row))
-            for data in chain((text.encode() for text in texts), _spooled(path, children)):
+        with _replaced(path) as fh:
+            def put(data):
                 digest.update(data)
                 fh.write(data)
+
+            for text in chain(["".join(f"{line}\n" for line in head)], _chunks(own, row)):
+                put(text.encode())
+            while children:
+                start, count, pid, spool = children[0]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                with spool:
+                    if status:
+                        raise OSError(f"the child process formatting rows {start} to "
+                                      f"{start + count - 1} of {path} exited with status {status}")
+                    spool.seek(0)
+                    while block := spool.read(HASH_BLOCK):
+                        put(block)
     finally:
         if children:
             import signal
@@ -244,14 +268,21 @@ def save_table(path, head, table, row) -> str:
 
 
 def _load_csv(path, kind: str, skiprows: int) -> np.ndarray:
-    """Numbers of a CSV file as a 2-D array; errors name the file ``kind``."""
+    """Numbers of a CSV file as a 2-D array of at least one row; errors
+    name the file ``kind``."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"{kind} file not found: {path}")
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+        with warnings.catch_warnings():
+            # the empty file is reported below, as an error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
     except ValueError as err:
         raise ValidationError(f"could not parse {kind} {path}: {err}") from err
+    if arr.shape[0] == 0:
+        raise ValidationError(f"{kind} {path} holds no rows")
+    return arr
 
 
 def _copies(path: Path) -> list[Path]:
@@ -287,23 +318,20 @@ def save_dataset(path, data: np.ndarray) -> None:
 
     The copy is stored in Fortran order, so the loaded (N, m) array's
     transpose is the C-contiguous (m, N) layout that the E-pass reads
-    (:func:`~gemgmm.core._feature_major` takes it without a copy).  It
-    is written under a temporary name and moved into place, so a reader
-    never sees half of it.  Saving over an existing CSV removes every
-    copy beside it, so also those of bytes that were edited since.
+    (:func:`~gemgmm.core._feature_major` takes it without a copy).
+    Saving over an existing CSV first removes every copy beside it, so
+    also those of bytes that were edited since.  The CSV and then the
+    copy are each written into place (:func:`_replaced`): a save that
+    fails while it writes the CSV leaves the previous CSV, or none, and
+    no copy.
     """
     path = Path(path)
     x = as_dataset(data)
     for stale in _copies(path):
         stale.unlink(missing_ok=True)
     copy = _copy_name(path, save_table(path, [], x, ",".join(["%r"] * x.shape[1])))
-    tmp = copy.with_name(f"{copy.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.save(fh, np.asfortranarray(x), allow_pickle=False)
-        os.replace(tmp, copy)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with _replaced(copy) as fh:
+        np.save(fh, np.asfortranarray(x), allow_pickle=False)
 
 
 def load_dataset(path, header: bool = False) -> np.ndarray:

@@ -1,15 +1,17 @@
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gemgmm
-from gemgmm import GmmParams, ValidationError, analysis, experiments, io
+from gemgmm import GmmParams, ValidationError, analysis, dynamics, experiments, io
 from gemgmm.cli import _build_config, build_parser, main
 from gemgmm.experiments import ExperimentConfig, orthogonal_line_init
 from gemgmm.io import load_dataset, load_params, load_trace_csv, save_dataset, save_params
@@ -432,6 +434,29 @@ def test_fit_rejects_missing_dataset_file(tmp_path):
                        dataset=str(tmp_path / "nope.csv"), init=ORTHO_INIT,
                        out=str(tmp_path / "fit"))
     assert main(["fit", "--config", cfg]) == 2
+
+
+def test_run_defaults_are_spelled_once(capsys):
+    defaults = inspect.signature(gemgmm.run).parameters
+    assert defaults["rel_ll_tol"].default == ExperimentConfig.tol == dynamics.DEFAULT_TOL == 1e-10
+    assert (defaults["max_iters"].default == ExperimentConfig.max_iters
+            == dynamics.DEFAULT_MAX_ITERS == 10_000)
+    assert main(["fit", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "relative log-likelihood tolerance (default 1e-10)" in out
+    assert "--max-iters INT default 10000" in out
+
+
+def test_fit_on_an_empty_dataset_exits_2(tmp_path, capsys):
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("")
+    cfg = write_config(tmp_path / "fit.json", true_model=TRUE_MODEL, dataset=str(dataset),
+                       init=ORTHO_INIT, out=str(tmp_path / "fit"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "holds no rows" in err and "UserWarning" not in err
 
 
 def test_fit_requires_init(tmp_path):

@@ -1,9 +1,12 @@
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +167,22 @@ def test_load_dataset_rejects_garbage(tmp_path):
     path.write_text("1.0,2.0\n3.0,oops\n")
     with pytest.raises(ValidationError):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("text, load", [
+    ("", load_dataset),
+    ("\n\n", load_dataset),
+    ("x,y\n", lambda path: load_dataset(path, header=True)),
+    (TRACE_HEADER + "\n", load_trace_csv),
+], ids=["empty_dataset", "blank_dataset", "header_only_dataset", "header_only_trace"])
+def test_a_csv_with_no_rows_is_rejected(tmp_path, text, load):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        # numpy's "input contained no data" warning would raise here
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="holds no rows"):
+            load(path)
 
 
 # ------------------------------------------------------------- binary copy
@@ -434,6 +453,56 @@ def test_a_failing_child_raises_and_no_copy_is_written(tmp_path, monkeypatch):
         save_dataset(path, shared_data(marked_row=5 * CSV_CHUNK_ROWS))
     assert_no_child_left()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
+def test_a_failed_save_leaves_the_old_file_or_none(tmp_path, monkeypatch):
+    old, fresh, table = (tmp_path / name / "d.csv" for name in ("old", "fresh", "table"))
+    for path in (old, fresh, table):
+        path.parent.mkdir()
+    save_dataset(old, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    before = old.read_bytes()
+    monkeypatch.setattr(io, "_cpus", lambda: 3)
+    failing_on_the_mark(monkeypatch)
+    # row 5 * 4096 lies in the last share, rows 16384 to 20486, which is
+    # read back after the first two shares are written
+    for path in (old, fresh):
+        with pytest.raises(OSError, match="rows 16384 to 20486"):
+            save_dataset(path, shared_data(marked_row=5 * CSV_CHUNK_ROWS))
+        assert_no_child_left()
+    assert old.read_bytes() == before
+    assert [p.name for p in old.parent.iterdir()] == ["d.csv"]
+    assert not any(fresh.parent.iterdir())
+    # this process's own share raises
+    with pytest.raises(RuntimeError, match="the marked row"):
+        io.save_table(table, [], shared_data(marked_row=7), "%r,%r")
+    assert_no_child_left()
+    assert not any(table.parent.iterdir())
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_failed_fork_kills_the_child_forked_before_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_cpus", lambda: 3)
+    forks, fork = [], os.fork
+
+    def second_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+    monkeypatch.setattr(os, "fork", second_fails)
+    spools, temporary_file = [], tempfile.TemporaryFile
+
+    def kept(*args, **kwargs):
+        spools.append(temporary_file(*args, **kwargs))
+        return spools[-1]
+    monkeypatch.setattr(tempfile, "TemporaryFile", kept)
+    with pytest.raises(OSError) as err:
+        save_dataset(tmp_path / "d.csv", shared_data())
+    assert err.value.errno == errno.EAGAIN
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert len(spools) == 2 and all(spool.closed for spool in spools)
+    assert not any(tmp_path.iterdir())
 
 
 def test_a_failure_in_this_process_kills_and_reaps_every_child(tmp_path, monkeypatch):
